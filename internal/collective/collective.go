@@ -204,7 +204,8 @@ func (ctx *Ctx) flowVia(src, dst topo.NodeID, viaA, viaB topo.NodeID, bytes floa
 	if err != nil {
 		return nil, fmt.Errorf("collective: route from delegate NIC: %w", err)
 	}
-	path := append(append(append(topo.Route{}, head...), mid...), tail...)
+	path := make(topo.Route, 0, len(head)+len(mid)+len(tail))
+	path = append(append(append(path, head...), mid...), tail...)
 	ctx.nextID++
 	return &netsim.Flow{ID: ctx.nextID, Path: path, Bytes: bytes}, nil
 }

@@ -28,6 +28,13 @@ type Router interface {
 // neighbours that strictly decrease the distance to dst, hashed by
 // (flowKey, hop, node) — per-hop ECMP as practised in Clos fabrics.
 //
+// Distance fields are resumable breadth-first searches: Route expands a
+// field only until src is labelled, DistanceField to completion. Every OCS
+// reconfiguration bumps the epoch, and most routes compiled right after one
+// (intra-server gather/scatter hops, one-hop circuit legs) need only the
+// first few BFS levels, so the rest of the fabric is never walked. Dropped
+// fields return their buffers to an entry pool for the next epoch.
+//
 // On symmetry-folded graphs the router operates on the quotient: distance
 // fields are sized and indexed by storage slot (materialized nodes only),
 // refresh lazily when a lookup misses after the graph has grown, and
@@ -39,18 +46,29 @@ type BFSRouter struct {
 	epoch  uint64
 	dist   map[NodeID]*distEntry // dst -> distances of materialized nodes to dst
 	routes map[routeKey]Route    // resolved paths, keyed by (src, dst, flowKey)
-	queue  []NodeID              // scratch
 	cands  []LinkID              // per-hop ECMP candidate scratch
+
+	// pool holds every distance entry this router has allocated;
+	// pool[:live] are the ones r.dist currently maps. Invalidation resets
+	// live instead of dropping the entries, so the next epoch reuses their
+	// buffers.
+	pool []*distEntry
+	live int
 }
 
-// distEntry is one cached distance field: d is indexed by node storage slot
-// (-1 unreachable / out of range) and was computed at the recorded growth.
-// Materialization never changes distances between already-materialized
-// nodes (see Graph.growth), so a stale entry is still correct for every
-// slot it covers; it only needs recomputing when a route endpoint lies
-// beyond it.
+// distEntry is one cached distance field, computed as a resumable BFS
+// towards the destination: d is indexed by node storage slot (-1 unlabelled:
+// unreachable, not yet reached, or out of range) and queue[head:] holds the
+// frontier, labelled slots not yet expanded, in discovery order. The field
+// was started at the recorded growth. Materialization never changes
+// distances between already-materialized nodes (see Graph.growth), so a
+// stale entry is still correct for every slot it labelled; but its frontier
+// cannot be resumed, because expanded nodes may have gained in-links since,
+// so it restarts when a route endpoint lies beyond it.
 type distEntry struct {
 	d      []int32
+	queue  []int32
+	head   int
 	growth uint64
 }
 
@@ -79,6 +97,7 @@ func (r *BFSRouter) Invalidate() {
 	}
 	clear(r.dist)
 	clear(r.routes)
+	r.live = 0
 }
 
 // Resync eagerly revalidates the caches against the graph's current epoch,
@@ -93,92 +112,108 @@ func (r *BFSRouter) Resync() { r.sync() }
 
 // sync invalidates the caches when the graph was mutated.
 func (r *BFSRouter) sync() {
-	//mixnet:allow growth is covered per entry: distEntry carries its own growth stamp and distField/routes re-derive slots when it is stale
+	//mixnet:allow growth is covered per entry: distEntry carries its own growth stamp and reach/DistanceField restart it when it is stale
 	if r.epoch != r.G.Epoch() {
 		r.Invalidate()
 		r.epoch = r.G.Epoch()
 	}
 }
 
-func (r *BFSRouter) distField(dst NodeID) *distEntry {
-	r.sync()
-	if e, ok := r.dist[dst]; ok {
-		return e
-	}
-	return r.computeDist(dst)
-}
-
-// computeDist (re)computes dst's distance field against the current graph.
+// computeDist (re)starts dst's distance field against the current graph:
+// it labels dst alone and leaves the rest of the search to expand.
 func (r *BFSRouter) computeDist(dst NodeID) *distEntry {
 	g := r.G
 	e := r.dist[dst]
 	if e == nil {
-		e = &distEntry{}
+		if r.live == len(r.pool) {
+			r.pool = append(r.pool, &distEntry{})
+		}
+		e = r.pool[r.live]
+		r.live++
 		r.dist[dst] = e
 	}
 	e.growth = g.Growth()
-	d := e.d[:0]
-	for len(d) < len(g.Nodes) {
-		d = append(d, -1)
+	n := len(g.Nodes)
+	if cap(e.d) < n {
+		e.d = make([]int32, n)
 	}
-	for i := range d {
-		d[i] = -1
+	e.d = e.d[:n]
+	for i := range e.d {
+		e.d[i] = -1
 	}
-	e.d = d
-	di := g.NodeIndex(dst)
-	if di < 0 {
-		return e
+	e.queue, e.head = e.queue[:0], 0
+	if di := g.NodeIndex(dst); di >= 0 {
+		e.d[di] = 0
+		e.queue = append(e.queue, di)
 	}
-	d[di] = 0
-	q := r.queue[:0]
-	q = append(q, dst)
-	for len(q) > 0 {
-		n := q[0]
-		q = q[1:]
-		ni := g.NodeIndex(n)
+	return e
+}
+
+// expand resumes the search until slot stop is labelled (stop < 0: until
+// the field is complete). Whole nodes are expanded in FIFO order, so when
+// a slot is labelled j every node at distance <= j-1 already is: labels
+// below the stop node's are final, and a Route walk from it sees exactly
+// the candidate sets a complete field would give.
+//
+//mixnet:noalloc
+func (e *distEntry) expand(g *Graph, stop int32) {
+	d, q, h := e.d, e.queue, e.head
+	for h < len(q) && (stop < 0 || d[stop] < 0) {
+		ni := q[h]
+		h++
 		// Walk incoming links: we want distance *towards* dst.
 		for _, lid := range g.in[ni] {
 			l := &g.Links[g.LinkIndex(lid)]
 			if !l.Up {
 				continue
 			}
-			fi := g.NodeIndex(l.From)
-			if d[fi] == -1 {
+			if fi := g.NodeIndex(l.From); d[fi] == -1 {
 				d[fi] = d[ni] + 1
-				q = append(q, l.From)
+				if len(q) == cap(q) && 2*h >= len(q) {
+					// Reuse the expanded half instead of growing: the
+					// buffer stays as wide as the frontier, not the graph.
+					q, h = q[:copy(q, q[h:])], 0
+				}
+				q = append(q, fi)
 			}
 		}
 	}
-	r.queue = q[:0]
-	return e
+	e.queue, e.head = q, h
 }
 
-// at returns n's distance to the entry's destination, -1 when unreachable
-// or not covered by the field.
+// reach labels n's slot if the field can, and reports whether it is
+// labelled. A stale field is never resumed: it answers only for the slots
+// it already labelled.
 //
 //mixnet:noalloc
-func (e *distEntry) at(g *Graph, n NodeID) int32 {
+func (e *distEntry) reach(g *Graph, n NodeID) bool {
 	i := g.NodeIndex(n)
 	if i < 0 || int(i) >= len(e.d) {
-		return -1
+		return false
 	}
-	return e.d[i]
+	if e.d[i] < 0 && e.growth == g.Growth() {
+		e.expand(g, i)
+	}
+	return e.d[i] >= 0
 }
 
 // DistanceField returns every materialized node's hop distance to dst over
 // up links (-1 = unreachable), indexed by node storage slot (== NodeID on
-// eager graphs; use Graph.NodeIndex on folded ones). The slice is cached
-// per destination, self-invalidates when the graph epoch changes, and is
-// recomputed eagerly when the folded graph has grown, so it always covers
-// every materialized node. Treat it as read-only. It exposes the ECMP
-// structure Route samples from, so callers (e.g. the analytic netsim
-// backend) can enumerate a hop's equal-cost candidates instead of
-// committing to one sampled path.
+// eager graphs; use Graph.NodeIndex on folded ones). The field is cached
+// per destination and completed on demand, and is restarted when the
+// folded graph has grown, so it always covers every materialized node.
+// Treat it as read-only, and use it only until the next graph mutation: a
+// mutation invalidates the field and its buffer is recycled for another
+// destination's. It exposes the ECMP structure Route samples from, so
+// callers (e.g. the analytic netsim backend) can enumerate a hop's
+// equal-cost candidates instead of committing to one sampled path.
 func (r *BFSRouter) DistanceField(dst NodeID) []int32 {
-	e := r.distField(dst)
-	if e.growth != r.G.Growth() {
+	r.sync()
+	e, ok := r.dist[dst]
+	if !ok || e.growth != r.G.Growth() {
 		e = r.computeDist(dst)
 	}
+	e.expand(r.G, -1)
 	return e.d
 }
 
@@ -215,23 +250,24 @@ func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 	if !ok {
 		e = r.computeDist(dst)
 	}
-	if e.at(g, src) < 0 {
+	if !e.reach(g, src) {
 		// Either unreachable or the field predates src's materialization.
 		if e.growth == g.Growth() {
 			return nil, ErrNoRoute
 		}
 		e = r.computeDist(dst)
-		if e.at(g, src) < 0 {
+		if !e.reach(g, src) {
 			return nil, ErrNoRoute
 		}
 	}
-	// From here every node on a shortest src->dst path is covered by e:
-	// such nodes lie in src's pod, dst's pod/server, or the eagerly built
-	// core plane, all materialized no later than src and dst themselves.
+	// From here every node on a shortest src->dst path is labelled in e:
+	// such nodes are closer to dst than src, and lie in src's pod, dst's
+	// pod/server, or the eagerly built core plane, all materialized no
+	// later than src and dst themselves.
 	d := e.d
-	route := make(Route, 0, e.at(g, src))
+	ci := g.NodeIndex(src)
+	route := make(Route, 0, d[ci])
 	cur := src
-	ci := g.NodeIndex(cur)
 	hop := 0
 	for cur != dst {
 		want := d[ci] - 1
@@ -272,10 +308,14 @@ func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 
 // replayIntraServer answers routes between two nodes of the same server by
 // translating the representative server's route by a link-ID offset.
-// Internal server paths are structurally unique (every NIC hangs off one
-// hub, every GPU off the one NVSwitch), so the replay is exact — no ECMP
-// hash ever fires on them. Disabled for servers whose links were mutated
-// (failures, circuits) and when no block layout is recorded.
+// Internal server paths are nearly always structurally unique (every NIC
+// hangs off one hub, every GPU off the one NVSwitch). The exception is two
+// NICs sharing a hub and a ToR, which have two equal-cost paths: the replay
+// takes the representative's hash pick, which can differ from walking the
+// server itself, and falls back to a direct computation when that pick
+// leaves the block via the ToR. Eager and folded builds replay alike.
+// Disabled for servers whose links were mutated (failures, circuits) and
+// when no block layout is recorded.
 func (r *BFSRouter) replayIntraServer(src, dst NodeID, flowKey uint64) (Route, bool) {
 	g := r.G
 	bn := g.blockNodes
@@ -308,8 +348,8 @@ func (r *BFSRouter) replayIntraServer(src, dst NodeID, flowKey uint64) (Route, b
 	delta := LinkID((s - rep) * bl)
 	for i, lid := range canon {
 		if lid < lo || lid >= hi {
-			// The canonical route left the server block (shouldn't happen
-			// for intra-server pairs); fall back to a direct computation.
+			// The canonical route left the server block (a NIC pair
+			// hashed onto its ToR); fall back to a direct computation.
 			return nil, false
 		}
 		out[i] = lid + delta

@@ -1,6 +1,9 @@
 package topo
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // benchFabric builds a small fat-tree with real ECMP fan-out.
 func benchFabric() *Cluster {
@@ -34,6 +37,93 @@ func BenchmarkRouteCold(b *testing.B) {
 		if _, err := r.Route(src, dst, 7); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// reconfigFabric builds a one-region MixNet fabric, two circuit
+// configurations to alternate between, and the pairs a topology-aware
+// all-to-all routes after each retarget: every GPU to every OCS NIC of its
+// server and back (gather and scatter), and GPU 0 of every server to GPU 0
+// of every other.
+func reconfigFabric() (c *Cluster, configs [2][]CircuitPair, pairs [][2]NodeID) {
+	c = BuildMixNet(DefaultSpec(8, 100*Gbps))
+	configs[0] = UniformCircuits(c, 0)
+	// The second configuration pairs NIC j of server i with NIC j+1 of
+	// server i+j/2+1, using every OCS NIC once.
+	m := len(c.Servers)
+	for i := range c.Servers {
+		nics := c.Servers[i].OCSNICs()
+		for j := 0; j+1 < len(nics); j += 2 {
+			peer := c.Servers[(i+j/2+1)%m].OCSNICs()
+			configs[1] = append(configs[1], CircuitPair{A: nics[j].Node, B: peer[j+1].Node})
+		}
+	}
+	for i := range c.Servers {
+		for _, gpu := range c.Servers[i].GPUs {
+			for _, nic := range c.Servers[i].OCSNICs() {
+				pairs = append(pairs, [2]NodeID{gpu, nic.Node}, [2]NodeID{nic.Node, gpu})
+			}
+		}
+		for j := range c.Servers {
+			if i != j {
+				pairs = append(pairs, [2]NodeID{c.GPU(i, 0), c.GPU(j, 0)})
+			}
+		}
+	}
+	return c, configs, pairs
+}
+
+// routePairs routes every pair once under one flow key.
+func routePairs(tb testing.TB, r *BFSRouter, pairs [][2]NodeID) {
+	for _, p := range pairs {
+		if _, err := r.Route(p[0], p[1], 7); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteAfterReconfig times what a collective compile pays for
+// routing right after the OCS retargets a region: every op installs the
+// other circuit configuration (untimed), which drops every cached field and
+// route, then routes the compile's pairs afresh.
+func BenchmarkRouteAfterReconfig(b *testing.B) {
+	c, configs, pairs := reconfigFabric()
+	r := NewBFSRouter(c.G)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.SetRegionCircuits(0, configs[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		routePairs(b, r, pairs)
+	}
+}
+
+// TestRouteAfterReconfigAllocs guards the recycled distance fields: once a
+// router has warmed up on a MixNet fabric, re-routing the same pairs after
+// another circuit retarget allocates only the returned Route slices.
+func TestRouteAfterReconfigAllocs(t *testing.T) {
+	c, configs, pairs := reconfigFabric()
+	r := NewBFSRouter(c.G)
+	for i := 0; i < 3; i++ {
+		if err := c.SetRegionCircuits(0, configs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		routePairs(t, r, pairs)
+	}
+	if err := c.SetRegionCircuits(0, configs[1]); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	routePairs(t, r, pairs)
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > uint64(len(pairs)) {
+		t.Errorf("re-routing %d pairs after a retarget made %d allocations, want at most one Route slice per pair",
+			len(pairs), got)
 	}
 }
 
