@@ -8,7 +8,6 @@
 //	mixnet-bench -list           # available experiment ids
 //	mixnet-bench -par 8          # worker-pool width (default GOMAXPROCS)
 //	mixnet-bench -workers 8      # packet-backend shard parallelism
-//	mixnet-bench -batch          # batched communication plans (byte-identical)
 //	mixnet-bench -fold           # symmetry-folded topology builds (byte-identical)
 //	mixnet-bench -overlap iter   # compute/comm overlap + cross-iteration pipelining
 //	mixnet-bench -json           # also write BENCH_<scale>.json
@@ -32,6 +31,8 @@ import (
 
 	"mixnet"
 	"mixnet/internal/experiments"
+	"mixnet/internal/netsim"
+	"mixnet/internal/packetsim"
 )
 
 // benchReport is the machine-readable BENCH_*.json schema.
@@ -41,7 +42,6 @@ type benchReport struct {
 	CC           string            `json:"cc,omitempty"`
 	Workers      int               `json:"workers"`
 	SimWorkers   int               `json:"sim_workers,omitempty"`
-	Batch        bool              `json:"batch,omitempty"`
 	Fold         bool              `json:"fold,omitempty"`
 	Overlap      string            `json:"overlap,omitempty"`
 	TotalSeconds float64           `json:"total_seconds"`
@@ -89,8 +89,7 @@ func main() {
 		only       = flag.String("only", "", "run a single experiment id")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		par        = flag.Int("par", 0, "worker-pool width across experiments (0 = GOMAXPROCS)")
-		simWorkers = flag.Int("workers", 0, "packet-backend parallel shard event loops per engine (0/1 = serial, -1 = GOMAXPROCS)")
-		batch      = flag.Bool("batch", false, "batch each iteration's communication plan across independent steps (byte-identical results)")
+		simWorkers = flag.Int("workers", 0, "packet-backend event loops per engine (0/1 = one loop, -1 = GOMAXPROCS; byte-identical results)")
 		foldFlag   = flag.Bool("fold", false, "build 3-tier electrical fabrics symmetry-folded (lazy pods/servers, byte-identical results)")
 		overlap    = flag.String("overlap", "", "compute/communication overlap discipline: none (default) | layer | iter")
 		scaleFlag  = flag.String("scale", "", "large: quantify the analytic backends at 8k-256k GPU scale and write BENCH_large_ecmp.json")
@@ -111,10 +110,11 @@ func main() {
 	if *full {
 		scale, scaleName = experiments.Full, "full"
 	}
-	experiments.SetDefaultSimWorkers(*simWorkers)
-	experiments.SetDefaultBatch(*batch)
-	experiments.SetDefaultFold(*foldFlag)
-	if err := experiments.SetDefaultOverlap(*overlap); err != nil {
+	defaults := experiments.Defaults{
+		Exec: netsim.Config{Backend: *backend, CC: *cc, Workers: *simWorkers},
+		Fold: *foldFlag, Overlap: *overlap,
+	}
+	if err := experiments.SetDefaults(defaults); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -152,34 +152,22 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-sweep runs every backend; drop -backend")
 			os.Exit(2)
 		}
-		if err := runSweep(ids, scale, scaleName, workers, *jsonOut || *jsonPath != "", *jsonPath); err != nil {
+		if err := runSweep(ids, defaults, scale, scaleName, workers, *jsonOut || *jsonPath != "", *jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if err := experiments.SetDefaultBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := experiments.SetDefaultCC(*cc); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	report := benchReport{
-		Scale: scaleName, Backend: experiments.DefaultBackend(),
-		Workers: workers, SimWorkers: experiments.DefaultSimWorkers(),
-		Batch: experiments.DefaultBatch(), Fold: experiments.DefaultFold(),
+		Scale: scaleName, Backend: defaults.Exec.BackendName(), CC: *cc,
+		Workers: workers, SimWorkers: *simWorkers, Fold: *foldFlag,
 	}
-	if experiments.DefaultOverlap() != "none" {
-		report.Overlap = experiments.DefaultOverlap()
+	if *overlap != "none" {
+		report.Overlap = *overlap
 	}
 	if report.Backend == "packet" {
 		report.MultiCore = experiments.MultiCoreWallClock()
-	}
-	if *cc != "" {
-		report.CC = experiments.DefaultCC()
 	}
 	failed := false
 	start := time.Now()
@@ -205,10 +193,10 @@ func main() {
 		path := *jsonPath
 		if path == "" {
 			suffix := ""
-			if b := experiments.DefaultBackend(); b != "fluid" {
+			if b := report.Backend; b != netsim.DefaultName {
 				suffix = "_" + b
 			}
-			if c := experiments.DefaultCC(); c != "fixed" {
+			if c := *cc; c != "" && c != packetsim.CCFixed {
 				suffix += "_" + c
 			}
 			path = fmt.Sprintf("BENCH_%s%s.json", scaleName, suffix)
@@ -273,11 +261,12 @@ func runLargeEcmp(path string) error {
 // combined fidelity report: per-backend runtime plus the mean absolute
 // relative deviation of every numeric table cell from the fluid run. It
 // replaces hand-diffing separate BENCH_*.json files per backend.
-func runSweep(ids []string, scale experiments.Scale, scaleName string, workers int, writeFile bool, path string) error {
+func runSweep(ids []string, defaults experiments.Defaults, scale experiments.Scale, scaleName string, workers int, writeFile bool, path string) error {
 	backends := mixnet.SimBackends()
 	tables := map[string]map[string]experiments.RunResult{} // backend -> id -> result
 	for _, b := range backends {
-		if err := experiments.SetDefaultBackend(b); err != nil {
+		defaults.Exec.Backend = b
+		if err := experiments.SetDefaults(defaults); err != nil {
 			return err
 		}
 		fmt.Printf("sweep: running %d experiments on %s...\n", len(ids), b)

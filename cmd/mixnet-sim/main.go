@@ -6,8 +6,7 @@
 //
 //	mixnet-sim -model "Mixtral 8x7B" -fabric mixnet -gbps 100 -iters 3 -mode copilot
 //	mixnet-sim -backend packet -workers 8            # sharded packet fidelity
-//	mixnet-sim -backend packet -workers 8 -batch     # + cross-step batched comm plans
-//	mixnet-sim -overlap iter -batch                  # overlap compute/comm, pipeline across iterations
+//	mixnet-sim -overlap iter                         # overlap compute/comm, pipeline across iterations
 //	mixnet-sim -scenario trace -backend packet       # trace replay at packet fidelity
 //	mixnet-sim -fabric fat-tree -fold                # symmetry-folded topology build
 //	mixnet-sim -scenario fail-nic+fail-gpu           # composed multi-failure drill
@@ -23,6 +22,7 @@ import (
 	"strings"
 
 	"mixnet"
+	"mixnet/internal/netsim"
 	"mixnet/internal/scenario"
 	"mixnet/internal/tenancy"
 	"mixnet/internal/trainsim"
@@ -34,8 +34,7 @@ func main() {
 		fabric   = flag.String("fabric", "mixnet", "fat-tree | oversub | rail | topoopt | mixnet")
 		backend  = flag.String("backend", "fluid", "network simulation backend: fluid | packet | analytic | analytic-ecmp")
 		cc       = flag.String("cc", "", "packet-backend congestion control: fixed | dcqcn | swift")
-		workers  = flag.Int("workers", 0, "packet-backend parallel shard event loops (0/1 = serial, -1 = GOMAXPROCS)")
-		batch    = flag.Bool("batch", false, "batch each iteration's communication plan: independent layer A2As and the DP all-reduce simulate concurrently (byte-identical results)")
+		workers  = flag.Int("workers", 0, "packet-backend event loops shared by the shards of every ready communication step (0/1 = one loop, -1 = GOMAXPROCS; byte-identical results)")
 		fold     = flag.Bool("fold", false, "build 3-tier electrical fabrics symmetry-folded: identical pods/servers materialize lazily (byte-identical results)")
 		overlap  = flag.String("overlap", "", "compute/communication overlap discipline: none (default, serial accounting) | layer (hide collectives under the next layer's compute) | iter (also pipeline across iteration boundaries)")
 		gbps     = flag.Float64("gbps", 400, "NIC line rate in Gbit/s")
@@ -53,6 +52,7 @@ func main() {
 		list     = flag.Bool("list", false, "list models and scenarios, then exit")
 	)
 	flag.Parse()
+	exec := netsim.Config{Backend: *backend, CC: *cc, Workers: *workers}
 
 	if *list {
 		for _, m := range mixnet.ListModels() {
@@ -63,8 +63,7 @@ func main() {
 	}
 	if *tenants != 0 {
 		runTenants(*tenants, tenancy.Config{
-			Fabric: strings.ToLower(*fabric), Backend: *backend, CC: *cc,
-			Workers: *workers, Batch: *batch, LinkGbps: *gbps,
+			Fabric: strings.ToLower(*fabric), Config: exec, LinkGbps: *gbps,
 			ReconfigDelaySec: *delay / 1e3, Contend: *contend,
 			ArbiterSlots: *arbSlots, ArbiterPolicy: *arbiter,
 		}, *model, *dp, *iters, *seed, *mode, *overlap)
@@ -72,9 +71,8 @@ func main() {
 	}
 	if *scen != "" {
 		runScenario(*scen, *backends, scenario.Config{
-			Model: *model, Fabric: strings.ToLower(*fabric), Backend: *backend,
-			CC: *cc, Workers: *workers, Batch: *batch, Fold: *fold, Overlap: *overlap,
-			LinkGbps: *gbps, DP: *dp,
+			Model: *model, Fabric: strings.ToLower(*fabric), Config: exec,
+			Fold: *fold, Overlap: *overlap, LinkGbps: *gbps, DP: *dp,
 			Iterations: *iters, Seed: *seed, FirstA2A: *mode,
 			ReconfigDelaySec: *delay / 1e3,
 		})
@@ -86,8 +84,8 @@ func main() {
 		os.Exit(2)
 	}
 	res, err := mixnet.Simulate(mixnet.SimConfig{
-		Model: *model, Fabric: kind, Backend: *backend, CC: *cc, Workers: *workers,
-		Batch: *batch, Fold: *fold, Overlap: *overlap, LinkGbps: *gbps, DP: *dp,
+		Model: *model, Fabric: kind, Exec: exec,
+		Fold: *fold, Overlap: *overlap, LinkGbps: *gbps, DP: *dp,
 		FirstA2A: *mode, ReconfigDelaySec: *delay / 1e3,
 		Iterations: *iters, Seed: *seed,
 	})
@@ -103,9 +101,6 @@ func main() {
 	}
 	if *workers > 1 || *workers < 0 {
 		backendDesc += fmt.Sprintf(", %d workers", *workers)
-	}
-	if *batch {
-		backendDesc += ", batched"
 	}
 	if *overlap != "" && *overlap != "none" {
 		backendDesc += ", overlap " + *overlap
@@ -159,12 +154,8 @@ func runTenants(n int, cfg tenancy.Config, model string, dp, iters int, seed int
 			os.Exit(1)
 		}
 	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = "fluid"
-	}
 	fmt.Printf("%d tenants on shared %s (%d servers, %s backend)\n",
-		n, cfg.Fabric, len(cs.Cluster.Servers), backend)
+		n, cfg.Fabric, len(cs.Cluster.Servers), cfg.BackendName())
 	fmt.Printf("%-6s %-10s %-8s %-10s %-12s %-12s %s\n",
 		"tenant", "model", "servers", "mean(s)", "blocked(s)", "reconfigs", "interference")
 	for i, tr := range cs.Tenants {

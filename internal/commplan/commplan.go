@@ -17,8 +17,8 @@
 // of two adjacent iterations in a rolling window — still fuse into one
 // batch.
 //
-// Results are deterministic and byte-identical to serial execution: a
-// step's makespan and per-flow finish times never depend on which other
+// Results are deterministic and byte-identical to pricing every step alone:
+// a step's makespan and per-flow finish times never depend on which other
 // steps shared its batch, and Execute visits steps in a deterministic
 // topological-ready order (the initial frontier in ID order, then steps in
 // the order their last dependency resolved). A Plan is reusable — Reset
@@ -119,7 +119,7 @@ type Plan struct {
 	indeg0   []int32
 	stats    Stats
 
-	// frontier-width accumulators (batches of width 1 in serial mode).
+	// frontier-width accumulators.
 	batches  uint64
 	widthSum uint64
 	widthMax int
@@ -142,12 +142,12 @@ type Stats struct {
 	Bypasses   uint64  // cache entries skipped on salt-state divergence
 	FoldFactor float64 // topology fold factor (1 = fully materialized)
 
-	// Frontier widths over every batch Execute ever submitted (serial
-	// execution counts batches of one): the widest single BatchMakespan
-	// call and the mean width. Dependency-free plans collapse into one wide
-	// drain; overlap-aware plans trade width for dependency fidelity, with
-	// the rolling window's first drain still fusing steps of two adjacent
-	// iterations (this DP all-reduce with the next dispatch A2A).
+	// Frontier widths over every batch Execute ever submitted: the widest
+	// single BatchMakespan call and the mean width. Dependency-free plans
+	// collapse into one wide drain; overlap-aware plans trade width for
+	// dependency fidelity, with the rolling window's first drain still
+	// fusing steps of two adjacent iterations (this DP all-reduce with the
+	// next dispatch A2A).
 	FrontierMax  int
 	FrontierMean float64
 }
@@ -243,8 +243,8 @@ func (p *Plan) Deps(id int) []int32 {
 }
 
 // BatchWidths reports the simulated-step count of each batch the last
-// Execute submitted, in submission order (serial execution submits batches
-// of one). The slice is valid until the next Execute or Reset.
+// Execute submitted, in submission order. The slice is valid until the
+// next Execute or Reset.
 func (p *Plan) BatchWidths() []int { return p.widths }
 
 // Makespans sums the simulated makespans of every step of the given kind —
@@ -446,15 +446,14 @@ func (p *Plan) releaseInto(id int32, indeg []int32, queue []int32) []int32 {
 	return queue
 }
 
-// Execute simulates the plan on b over g. With batch set, every frontier of
-// ready simulated steps is submitted as one BatchMakespan call (barriers
-// resolve for free and immediately release their successors); without it,
-// steps are submitted one at a time in the same deterministic
-// topological-ready order — the serial reference. Per-step makespans and
-// per-flow finish times are byte-identical between the two modes at every
-// backend worker count (steps are independent simulations, so submission
-// order cannot influence results).
-func (p *Plan) Execute(g *topo.Graph, b netsim.Backend, batch bool) error {
+// Execute simulates the plan on b over g: every frontier of ready simulated
+// steps is submitted as one BatchMakespan call (zero-flow steps resolve for
+// free and immediately release their successors into the same frontier).
+// Per-step makespans and per-flow finish times are byte-identical to
+// pricing each step alone with Makespan in ID order, at every backend
+// worker count: steps are independent simulations, so what shares a batch
+// cannot influence results.
+func (p *Plan) Execute(g *topo.Graph, b netsim.Backend) error {
 	n := len(p.steps)
 	if n == 0 {
 		return nil
@@ -496,28 +495,15 @@ func (p *Plan) Execute(g *topo.Graph, b netsim.Backend, batch bool) error {
 		}
 		queue = queue[:0]
 		if len(batchIDs) > 0 {
-			if batch {
-				ms, err := b.BatchMakespan(g, batchPh)
-				if err != nil {
-					return err
-				}
-				p.widths = append(p.widths, len(batchIDs))
-				p.recordWidth(len(batchIDs))
-				for k, id := range batchIDs {
-					p.steps[id].Makespan = ms[k]
-					done++
-				}
-			} else {
-				for _, id := range batchIDs {
-					ms, err := b.Makespan(g, p.steps[id].Phases)
-					if err != nil {
-						return err
-					}
-					p.steps[id].Makespan = ms
-					p.widths = append(p.widths, 1)
-					p.recordWidth(1)
-					done++
-				}
+			ms, err := b.BatchMakespan(g, batchPh)
+			if err != nil {
+				return err
+			}
+			p.widths = append(p.widths, len(batchIDs))
+			p.recordWidth(len(batchIDs))
+			for k, id := range batchIDs {
+				p.steps[id].Makespan = ms[k]
+				done++
 			}
 			// Successors release only after the whole batch completed, so
 			// the next frontier is again maximal.

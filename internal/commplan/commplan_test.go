@@ -46,33 +46,46 @@ func buildPlan(p *Plan, steps []netsim.Phases, delay float64) {
 	p.Add(KindDP, -1, steps[len(steps)-1], 0)
 }
 
+// executeSerial is the reference executor: steps in ID order — a
+// topological order, since AddDep only points backward — each simulated
+// step priced alone by one Makespan call, zero-flow steps by their Delay.
+func executeSerial(t *testing.T, p *Plan, g *topo.Graph, b netsim.Backend) {
+	t.Helper()
+	for i := range p.Steps() {
+		s := p.Step(i)
+		if s.Phases == nil {
+			s.Makespan = s.Delay
+			continue
+		}
+		ms, err := b.Makespan(g, s.Phases)
+		if err != nil {
+			t.Fatalf("serial step %d: %v", i, err)
+		}
+		s.Makespan = ms
+	}
+}
+
 func TestExecuteBatchedMatchesSerial(t *testing.T) {
 	c, steps := testWorkload(t, 5)
 	for _, backend := range netsim.Names() {
-		serial, err := netsim.New(backend)
+		serial, err := netsim.New(netsim.Config{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := netsim.NewWithOptions(backend, "", 4, true)
+		batched, err := netsim.New(netsim.Config{Backend: backend, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps, pb := New(), New()
 		buildPlan(ps, steps, 1e-3)
-		if err := ps.Execute(c.G, serial, false); err != nil {
-			t.Fatalf("%s serial: %v", backend, err)
-		}
-		serialMs := make([]float64, ps.Len())
-		for i := range serialMs {
-			serialMs[i] = ps.Step(i).Makespan
-		}
+		executeSerial(t, ps, c.G, serial)
 		buildPlan(pb, steps, 1e-3)
-		if err := pb.Execute(c.G, batched, true); err != nil {
+		if err := pb.Execute(c.G, batched); err != nil {
 			t.Fatalf("%s batched: %v", backend, err)
 		}
-		for i := range serialMs {
-			if got := pb.Step(i).Makespan; got != serialMs[i] {
-				t.Errorf("%s: step %d makespan %v (batched) != %v (serial)", backend, i, got, serialMs[i])
+		for i := 0; i < ps.Len(); i++ {
+			if got, want := pb.Step(i).Makespan, ps.Step(i).Makespan; got != want {
+				t.Errorf("%s: step %d makespan %v (batched) != %v (serial)", backend, i, got, want)
 			}
 		}
 		// Barriers carry their delay.
@@ -81,14 +94,11 @@ func TestExecuteBatchedMatchesSerial(t *testing.T) {
 				t.Errorf("%s: barrier %d makespan %v, want 1e-3", backend, i, pb.Step(i).Makespan)
 			}
 		}
-		// Batched execution must have submitted one frontier holding every
-		// simulated step (barriers resolve for free first).
+		// Execute must have submitted one frontier holding every simulated
+		// step (barriers resolve for free first).
 		widths := pb.BatchWidths()
 		if len(widths) != 1 || widths[0] != 5 {
 			t.Errorf("%s: batch widths %v, want [5]", backend, widths)
-		}
-		if ws := ps.BatchWidths(); len(ws) != 5 {
-			t.Errorf("%s: serial widths %v, want five 1s", backend, ws)
 		}
 	}
 }
@@ -103,8 +113,8 @@ func TestExecuteRespectsDependencyChain(t *testing.T) {
 	p.AddDep(s1, s0)
 	s2 := p.Add(KindDP, -1, steps[2], 0)
 	p.AddDep(s2, s1)
-	b, _ := netsim.NewWithOptions("fluid", "", 0, true)
-	if err := p.Execute(c.G, b, true); err != nil {
+	b, _ := netsim.New(netsim.Config{})
+	if err := p.Execute(c.G, b); err != nil {
 		t.Fatal(err)
 	}
 	widths := p.BatchWidths()
@@ -150,14 +160,14 @@ func TestDepsArenaDiscipline(t *testing.T) {
 // so the measurement isolates the plan machinery).
 func TestPlanBuilderAllocFree(t *testing.T) {
 	c, steps := testWorkload(t, 6)
-	b, err := netsim.New("analytic")
+	b, err := netsim.New(netsim.Config{Backend: "analytic"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := New()
 	run := func() {
 		buildPlan(p, steps, 25e-3)
-		if err := p.Execute(c.G, b, false); err != nil {
+		if err := p.Execute(c.G, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -154,12 +154,10 @@ func (m *MergedExec) collectReady() int {
 	return resolved
 }
 
-// Execute drains all plans to completion on b over g. With batch set, each
-// merged round of ready simulated steps is one BatchMakespan call; without
-// it, steps run one at a time in the same deterministic order. Empty plans
-// are permitted. See the type comment for the determinism and contention
-// contracts.
-func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan, batch bool) error {
+// Execute drains all plans to completion on b over g, one merged round of
+// ready simulated steps per BatchMakespan call. Empty plans are permitted.
+// See the type comment for the determinism and contention contracts.
+func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) error {
 	m.grow(plans)
 	total := 0
 	for pi, p := range plans {
@@ -188,7 +186,7 @@ func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan, bat
 			}
 			break
 		}
-		if err := m.simulateRound(g, b, batch); err != nil {
+		if err := m.simulateRound(g, b); err != nil {
 			return err
 		}
 		m.recordWidth(len(m.ids))
@@ -210,29 +208,18 @@ func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan, bat
 }
 
 // simulateRound prices every step the current round collected, writing each
-// step's Makespan. Non-contended, the round is one BatchMakespan call (or a
-// serial Makespan loop) — per-step results identical to a solo drain.
-// Contended, steps of different plans at the same frontier position fuse
-// into one co-simulated workload; steps with no cross-plan partner still
-// run solo.
-func (m *MergedExec) simulateRound(g *topo.Graph, b netsim.Backend, batch bool) error {
+// step's Makespan. Non-contended, the round is one BatchMakespan call —
+// per-step results identical to a solo drain. Contended, steps of different
+// plans at the same frontier position fuse into one co-simulated workload;
+// steps with no cross-plan partner still run solo.
+func (m *MergedExec) simulateRound(g *topo.Graph, b netsim.Backend) error {
 	if !m.Contend {
-		if batch {
-			ms, err := b.BatchMakespan(g, m.batch)
-			if err != nil {
-				return err
-			}
-			for k, id := range m.ids {
-				m.states[m.owners[k]].p.steps[id].Makespan = ms[k]
-			}
-			return nil
+		ms, err := b.BatchMakespan(g, m.batch)
+		if err != nil {
+			return err
 		}
 		for k, id := range m.ids {
-			ms, err := b.Makespan(g, m.batch[k])
-			if err != nil {
-				return err
-			}
-			m.states[m.owners[k]].p.steps[id].Makespan = ms
+			m.states[m.owners[k]].p.steps[id].Makespan = ms[k]
 		}
 		return nil
 	}

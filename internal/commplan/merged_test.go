@@ -9,55 +9,49 @@ import (
 func TestMergedMatchesSoloExecute(t *testing.T) {
 	c, steps := testWorkload(t, 6)
 	for _, backend := range netsim.Names() {
-		for _, batch := range []bool{false, true} {
-			solo, err := netsim.NewWithOptions(backend, "", 2, batch)
-			if err != nil {
-				t.Fatal(err)
+		solo, err := netsim.New(netsim.Config{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := netsim.New(netsim.Config{Backend: backend, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Solo reference: each plan priced step by step on its own.
+		a1, b1 := New(), New()
+		buildPlan(a1, steps[:4], 1e-3)
+		buildPlan(b1, steps[4:], 2e-3)
+		executeSerial(t, a1, c.G, solo)
+		executeSerial(t, b1, c.G, solo)
+		// Merged drain of identically built plans on one backend.
+		a2, b2 := New(), New()
+		buildPlan(a2, steps[:4], 1e-3)
+		buildPlan(b2, steps[4:], 2e-3)
+		m := NewMergedExec()
+		if err := m.Execute(c.G, shared, []*Plan{a2, b2}); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		for i := 0; i < a1.Len(); i++ {
+			if a2.Step(i).Makespan != a1.Step(i).Makespan {
+				t.Fatalf("%s: plan A step %d: merged %v != solo %v",
+					backend, i, a2.Step(i).Makespan, a1.Step(i).Makespan)
 			}
-			shared, err := netsim.NewWithOptions(backend, "", 2, batch)
-			if err != nil {
-				t.Fatal(err)
+		}
+		for i := 0; i < b1.Len(); i++ {
+			if b2.Step(i).Makespan != b1.Step(i).Makespan {
+				t.Fatalf("%s: plan B step %d: merged %v != solo %v",
+					backend, i, b2.Step(i).Makespan, b1.Step(i).Makespan)
 			}
-			// Solo reference: each plan drained alone.
-			a1, b1 := New(), New()
-			buildPlan(a1, steps[:4], 1e-3)
-			buildPlan(b1, steps[4:], 2e-3)
-			if err := a1.Execute(c.G, solo, batch); err != nil {
-				t.Fatal(err)
-			}
-			if err := b1.Execute(c.G, solo, batch); err != nil {
-				t.Fatal(err)
-			}
-			// Merged drain of identically built plans on one backend.
-			a2, b2 := New(), New()
-			buildPlan(a2, steps[:4], 1e-3)
-			buildPlan(b2, steps[4:], 2e-3)
-			m := NewMergedExec()
-			if err := m.Execute(c.G, shared, []*Plan{a2, b2}, batch); err != nil {
-				t.Fatalf("%s batch=%v: %v", backend, batch, err)
-			}
-			for i := 0; i < a1.Len(); i++ {
-				if a2.Step(i).Makespan != a1.Step(i).Makespan {
-					t.Fatalf("%s batch=%v: plan A step %d: merged %v != solo %v",
-						backend, batch, i, a2.Step(i).Makespan, a1.Step(i).Makespan)
-				}
-			}
-			for i := 0; i < b1.Len(); i++ {
-				if b2.Step(i).Makespan != b1.Step(i).Makespan {
-					t.Fatalf("%s batch=%v: plan B step %d: merged %v != solo %v",
-						backend, batch, i, b2.Step(i).Makespan, b1.Step(i).Makespan)
-				}
-			}
-			if s := m.Stats(); s.Batches == 0 || s.WidthMax < 2 {
-				t.Fatalf("%s batch=%v: merged stats did not record fused frontiers: %+v", backend, batch, s)
-			}
+		}
+		if s := m.Stats(); s.Batches == 0 || s.WidthMax < 2 {
+			t.Fatalf("%s: merged stats did not record fused frontiers: %+v", backend, s)
 		}
 	}
 }
 
 func TestMergedEmptyAndSinglePlans(t *testing.T) {
 	c, steps := testWorkload(t, 3)
-	b, err := netsim.New("fluid")
+	b, err := netsim.New(netsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +59,12 @@ func TestMergedEmptyAndSinglePlans(t *testing.T) {
 	buildPlan(solo, steps, 1e-3)
 	ref := New()
 	buildPlan(ref, steps, 1e-3)
-	if err := ref.Execute(c.G, b, true); err != nil {
+	if err := ref.Execute(c.G, b); err != nil {
 		t.Fatal(err)
 	}
 	empty := New()
 	m := NewMergedExec()
-	if err := m.Execute(c.G, b, []*Plan{empty, solo}, true); err != nil {
+	if err := m.Execute(c.G, b, []*Plan{empty, solo}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ref.Len(); i++ {
@@ -78,7 +72,7 @@ func TestMergedEmptyAndSinglePlans(t *testing.T) {
 			t.Fatalf("step %d: merged-with-empty %v != solo %v", i, solo.Step(i).Makespan, ref.Step(i).Makespan)
 		}
 	}
-	if err := m.Execute(c.G, b, nil, true); err != nil {
+	if err := m.Execute(c.G, b, nil); err != nil {
 		t.Fatalf("no plans: %v", err)
 	}
 }
@@ -86,7 +80,7 @@ func TestMergedEmptyAndSinglePlans(t *testing.T) {
 func TestMergedContendedDeterministicAndSlower(t *testing.T) {
 	c, steps := testWorkload(t, 6)
 	run := func(workers int) (*Plan, *Plan, MergedStats) {
-		b, err := netsim.NewWithOptions("packet", "", workers, true)
+		b, err := netsim.New(netsim.Config{Backend: "packet", Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +89,7 @@ func TestMergedContendedDeterministicAndSlower(t *testing.T) {
 		buildPlan(pb, steps[4:], 2e-3)
 		m := NewMergedExec()
 		m.Contend = true
-		if err := m.Execute(c.G, b, []*Plan{pa, pb}, true); err != nil {
+		if err := m.Execute(c.G, b, []*Plan{pa, pb}); err != nil {
 			t.Fatal(err)
 		}
 		return pa, pb, m.Stats()
@@ -116,17 +110,17 @@ func TestMergedContendedDeterministicAndSlower(t *testing.T) {
 		t.Fatal("contended merge fused no cross-plan steps")
 	}
 	// Contention cannot make a shared-link step faster than its solo run.
-	soloB, err := netsim.NewWithOptions("packet", "", 1, true)
+	soloB, err := netsim.New(netsim.Config{Backend: "packet"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ra, rb := New(), New()
 	buildPlan(ra, steps[:4], 1e-3)
 	buildPlan(rb, steps[4:], 2e-3)
-	if err := ra.Execute(c.G, soloB, true); err != nil {
+	if err := ra.Execute(c.G, soloB); err != nil {
 		t.Fatal(err)
 	}
-	if err := rb.Execute(c.G, soloB, true); err != nil {
+	if err := rb.Execute(c.G, soloB); err != nil {
 		t.Fatal(err)
 	}
 	const eps = 1e-12

@@ -31,9 +31,11 @@ func (c *countingBackend) BatchMakespan(g *topo.Graph, steps []netsim.Phases) ([
 // per layer barrier -> compute(attn) -> a2a1 -> compute(expert) -> barrier
 // -> a2a2 -> compute(addnorm), with the next layer's work gated by the
 // expert compute, then a backward chain of zero-flow echoes and a
-// dependency-free cross-iteration prefix (compute + barrier + a2a). It
-// reuses the comm phases round-robin and returns the forward boundary and
-// the echo/prefix IDs for patching.
+// dependency-free cross-iteration prefix (compute + barrier + a2a). Layer
+// li uses steps[2li] and steps[2li+1], the prefix the step after them (it
+// shares a frontier with layer 0's dispatch, and steps of one batch must
+// not share Flow pointers); it returns the forward boundary and the
+// echo/prefix IDs for patching.
 func buildOverlapPlan(p *Plan, steps []netsim.Phases, echoBuf []int) (bwdLo int, echoes []int, prefixA int) {
 	p.Reset()
 	echoes = echoBuf[:0]
@@ -81,7 +83,7 @@ func buildOverlapPlan(p *Plan, steps []netsim.Phases, echoBuf []int) (bwdLo int,
 	// joins the first drain.
 	pc := p.Add(KindCompute, 0, nil, 5e-3)
 	pb := p.Add(KindBarrier, 0, nil, 1e-3)
-	pa := p.Add(KindA2A1, 0, steps[0], 0)
+	pa := p.Add(KindA2A1, 0, steps[2*nLayers], 0)
 	p.AddDep(pa, pc)
 	p.AddDep(pa, pb)
 	return bwdLo, echoes, pa
@@ -92,15 +94,15 @@ func buildOverlapPlan(p *Plan, steps []netsim.Phases, echoBuf []int) (bwdLo int,
 // backend — while comm steps separated only by zero-flow work still fuse,
 // including the cross-iteration prefix A2A in the first drain.
 func TestComputeStepsPricedWithoutBackendCalls(t *testing.T) {
-	c, steps := testWorkload(t, 6)
-	inner, err := netsim.NewWithOptions("analytic", "", 2, true)
+	c, steps := testWorkload(t, 7)
+	inner, err := netsim.New(netsim.Config{Backend: "analytic", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := &countingBackend{Backend: inner}
 	p := New()
 	buildOverlapPlan(p, steps, nil)
-	if err := p.Execute(c.G, b, true); err != nil {
+	if err := p.Execute(c.G, b); err != nil {
 		t.Fatal(err)
 	}
 	var comm, zero int
@@ -150,7 +152,7 @@ func TestCriticalPathChainEqualsSum(t *testing.T) {
 		sum += d
 	}
 	// Zero-flow-only plan: Execute needs no backend.
-	if err := p.Execute(nil, nil, true); err != nil {
+	if err := p.Execute(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cp := p.CriticalPath(); cp != sum {
@@ -170,7 +172,7 @@ func TestCriticalPathDiamond(t *testing.T) {
 	sink := p.Add(KindCompute, 0, nil, 1)
 	p.AddDep(sink, long)
 	p.AddDep(sink, short)
-	if err := p.Execute(nil, nil, true); err != nil {
+	if err := p.Execute(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cp := p.CriticalPath(); cp != 7 {
@@ -188,7 +190,7 @@ func TestMakespanWindowIgnoresCrossWindowDeps(t *testing.T) {
 	p.AddDep(b, a)
 	c := p.Add(KindCompute, 0, nil, 3)
 	p.AddDep(c, b)
-	if err := p.Execute(nil, nil, true); err != nil {
+	if err := p.Execute(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if w := p.MakespanWindow(b, p.Len()); w != 5 {
@@ -205,14 +207,14 @@ func TestMakespanWindowIgnoresCrossWindowDeps(t *testing.T) {
 // TestFrontierAndKindStats: Stats reports per-kind step counts of the
 // current plan and cumulative frontier widths across Execute calls.
 func TestFrontierAndKindStats(t *testing.T) {
-	c, steps := testWorkload(t, 6)
-	b, err := netsim.NewWithOptions("analytic", "", 0, true)
+	c, steps := testWorkload(t, 7)
+	b, err := netsim.New(netsim.Config{Backend: "analytic"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := New()
 	buildOverlapPlan(p, steps, nil)
-	if err := p.Execute(c.G, b, true); err != nil {
+	if err := p.Execute(c.G, b); err != nil {
 		t.Fatal(err)
 	}
 	s := p.Stats()
@@ -243,8 +245,8 @@ func TestFrontierAndKindStats(t *testing.T) {
 // echoes, cross-iteration prefix), executing it, patching the echoes and
 // reading both slot windows allocates nothing once the arenas are warm.
 func TestOverlapWindowAllocFree(t *testing.T) {
-	c, steps := testWorkload(t, 6)
-	b, err := netsim.New("analytic")
+	c, steps := testWorkload(t, 7)
+	b, err := netsim.New(netsim.Config{Backend: "analytic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestOverlapWindowAllocFree(t *testing.T) {
 	run := func() {
 		bwdLo, echoes, prefixA := buildOverlapPlan(p, steps, echoBuf)
 		echoBuf = echoes
-		if err := p.Execute(c.G, b, false); err != nil {
+		if err := p.Execute(c.G, b); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range echoes {

@@ -12,7 +12,7 @@ import (
 // makespans unchanged.
 func TestCSRReuseAcrossIterations(t *testing.T) {
 	c, steps := testWorkload(t, 4)
-	b, err := netsim.New("analytic")
+	b, err := netsim.New(netsim.Config{Backend: "analytic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestCSRReuseAcrossIterations(t *testing.T) {
 	const iters = 5
 	for it := 0; it < iters; it++ {
 		buildPlan(p, steps, 1e-3)
-		if err := p.Execute(c.G, b, false); err != nil {
+		if err := p.Execute(c.G, b); err != nil {
 			t.Fatal(err)
 		}
 		ms := make([]float64, p.Len())
@@ -51,25 +51,25 @@ func TestCSRReuseAcrossIterations(t *testing.T) {
 // must trigger a fresh CSR build, not a stale reuse.
 func TestCSRRebuildOnShapeChange(t *testing.T) {
 	c, steps := testWorkload(t, 4)
-	b, err := netsim.New("analytic")
+	b, err := netsim.New(netsim.Config{Backend: "analytic"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := New()
 	buildPlan(p, steps, 1e-3)
-	if err := p.Execute(c.G, b, false); err != nil {
+	if err := p.Execute(c.G, b); err != nil {
 		t.Fatal(err)
 	}
 	// Same step count, extra dependency edge: meta/deps differ.
 	buildPlan(p, steps, 1e-3)
 	p.AddDep(p.Len()-1, 0)
-	if err := p.Execute(c.G, b, false); err != nil {
+	if err := p.Execute(c.G, b); err != nil {
 		t.Fatal(err)
 	}
 	// Different step count.
 	_, more := testWorkload(t, 6)
 	buildPlan(p, more, 1e-3)
-	if err := p.Execute(c.G, b, false); err != nil {
+	if err := p.Execute(c.G, b); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()

@@ -12,153 +12,55 @@ import (
 
 	"mixnet/internal/moe"
 	"mixnet/internal/netsim"
-	"mixnet/internal/packetsim"
 	"mixnet/internal/parallel"
 	"mixnet/internal/topo"
 	"mixnet/internal/trainsim"
 )
 
-// defaultBackend names the netsim backend every experiment's training
-// engines simulate on ("" = fluid). It is set once by SetDefaultBackend
-// before a run — not per experiment — so parallel-runner determinism is
-// unaffected.
-var defaultBackend string
+// Defaults is the execution configuration every experiment engine runs
+// with unless its options say otherwise.
+type Defaults struct {
+	// Exec selects the netsim backend, the packet backend's congestion
+	// controller and its event-loop pool size. It is distinct from the
+	// experiment-level worker pool (RunIDs): that parallelises across
+	// experiments, Exec.Workers the flow shards inside one packet-level
+	// simulation.
+	Exec netsim.Config
+	// Fold builds every experiment cluster symmetry-folded (topo.Spec.Fold).
+	// Results are byte-identical either way; folding only changes memory
+	// and build time.
+	Fold bool
+	// Overlap is the compute/communication overlap discipline
+	// (trainsim.Options.Overlap); "" and "none" keep the historical serial
+	// accounting.
+	Overlap string
+}
 
-// SetDefaultBackend selects the simulation backend used by all experiments
-// whose options don't name one explicitly. Call it before Run/RunIDs, not
-// concurrently with them.
-func SetDefaultBackend(name string) error {
-	if _, err := netsim.New(name); err != nil {
+// defaults is installed once by SetDefaults before a run — not per
+// experiment — so parallel-runner determinism is unaffected.
+var defaults Defaults
+
+// SetDefaults validates d as a whole and installs it for every later
+// Run/RunIDs. Call it before them, not concurrently with them.
+func SetDefaults(d Defaults) error {
+	if _, err := netsim.New(d.Exec); err != nil {
 		return err
 	}
-	defaultBackend = name
+	if err := trainsim.ValidOverlap(d.Overlap); err != nil {
+		return err
+	}
+	defaults = d
 	return nil
 }
 
-// DefaultBackend returns the backend name experiments run on.
-func DefaultBackend() string {
-	if defaultBackend == "" {
-		return netsim.DefaultName
-	}
-	return defaultBackend
-}
-
-// defaultCC names the packet-backend congestion controller applied to every
-// experiment engine that doesn't name one ("" = fixed). Like
-// defaultBackend it is set once before a run.
-var defaultCC string
-
-// SetDefaultCC selects the congestion controller used by all experiments
-// whose options don't name one explicitly. It validates the controller
-// against the current default backend (adaptive controllers require the
-// packet backend), so call it after SetDefaultBackend and not concurrently
-// with Run/RunIDs.
-func SetDefaultCC(name string) error {
-	if _, err := netsim.NewWithCC(defaultBackend, name); err != nil {
-		return err
-	}
-	defaultCC = name
-	return nil
-}
-
-// DefaultCC returns the congestion controller name experiment engines pace
-// packets with.
-func DefaultCC() string {
-	if defaultCC == "" {
-		return packetsim.CCFixed
-	}
-	return defaultCC
-}
-
-// defaultSimWorkers bounds the packet backend's parallel event loops inside
-// every experiment engine (0/1 = serial). Like defaultBackend it is set
-// once before a run. It is distinct from the experiment-level worker pool
-// (RunIDs): that parallelises across experiments, this parallelises the
-// flow shards inside one packet-level simulation.
-var defaultSimWorkers int
-
-// SetDefaultSimWorkers selects the packet-backend shard parallelism used by
-// all experiments whose options don't set one explicitly. Call it before
-// Run/RunIDs, not concurrently with them.
-func SetDefaultSimWorkers(n int) { defaultSimWorkers = n }
-
-// DefaultSimWorkers returns the packet-backend shard parallelism experiment
-// engines simulate with.
-func DefaultSimWorkers() int { return defaultSimWorkers }
-
-// defaultBatch routes every experiment engine's iteration through batched
-// communication-plan submission (trainsim.Options.BatchComm). Like
-// defaultBackend it is set once before a run; results are byte-identical
-// with and without it.
-var defaultBatch bool
-
-// SetDefaultBatch selects batched communication-plan execution for all
-// experiment engines. Call it before Run/RunIDs, not concurrently with them.
-func SetDefaultBatch(on bool) { defaultBatch = on }
-
-// DefaultBatch returns whether experiment engines batch their communication
-// plans.
-func DefaultBatch() bool { return defaultBatch }
-
-// defaultFold builds every experiment cluster with symmetry folding
-// (topo.Spec.Fold) and keeps its engine lazy. Like defaultBackend it is set
-// once before a run; results are byte-identical with and without it.
-var defaultFold bool
-
-// SetDefaultFold selects symmetry-folded topology construction for all
-// experiment clusters. Call it before Run/RunIDs, not concurrently with them.
-func SetDefaultFold(on bool) { defaultFold = on }
-
-// DefaultFold returns whether experiment clusters build symmetry-folded.
-func DefaultFold() bool { return defaultFold }
-
-// defaultOverlap selects the compute/communication overlap discipline
-// (trainsim.Options.Overlap) for every experiment engine. Like
-// defaultBackend it is set once before a run; "" and "none" keep the
-// historical serial accounting.
-var defaultOverlap string
-
-// SetDefaultOverlap selects the overlap discipline ("none", "layer", "iter")
-// for all experiment engines. Call it before Run/RunIDs, not concurrently
-// with them.
-func SetDefaultOverlap(name string) error {
-	if err := trainsim.ValidOverlap(name); err != nil {
-		return err
-	}
-	defaultOverlap = name
-	return nil
-}
-
-// DefaultOverlap returns the overlap discipline experiment engines price
-// iterations with.
-func DefaultOverlap() string {
-	if defaultOverlap == "" {
-		return "none"
-	}
-	return defaultOverlap
-}
-
-// newEngine builds a training engine, applying the package default backend,
-// congestion controller, packet shard parallelism and communication-plan
-// batching when opts doesn't name them.
+// newEngine builds a training engine, applying the package defaults where
+// opts leaves the execution options or the overlap discipline unset.
 func newEngine(m moe.Model, plan moe.TrainPlan, c *topo.Cluster, opts trainsim.Options) (*trainsim.Engine, error) {
-	if opts.Backend == "" {
-		opts.Backend = defaultBackend
-	}
-	if opts.CC == "" {
-		opts.CC = defaultCC
-	}
-	if opts.Workers == 0 {
-		opts.Workers = defaultSimWorkers
-	}
-	if defaultBatch {
-		opts.BatchComm = true
-	}
-	if defaultFold {
-		opts.Fold = true
+	if opts.Config == (netsim.Config{}) {
+		opts.Config = defaults.Exec
 	}
 	if opts.Overlap == "" {
-		opts.Overlap = defaultOverlap
+		opts.Overlap = defaults.Overlap
 	}
 	return trainsim.New(m, plan, c, opts)
 }
@@ -242,7 +144,7 @@ func buildCluster(kind topo.FabricKind, servers int, gbps float64, plan moe.Trai
 	spec := topo.DefaultSpec(servers, gbps)
 	spec.SwitchRadix = 16
 	spec.RegionServers = parallel.RegionServersPerEPGroup(plan, spec.GPUsPerServer)
-	spec.Fold = defaultFold
+	spec.Fold = defaults.Fold
 	switch kind {
 	case topo.FabricOverSubFatTree:
 		spec.Oversub = 3

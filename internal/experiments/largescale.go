@@ -229,7 +229,7 @@ func largePoint(gpus, participants int, bytesPerFlow float64, fold bool) (LargeE
 		PeakHeapBytes: peakHeap,
 	}
 	run := func(name string) (float64, float64, error) {
-		b, err := netsim.New(name)
+		b, err := netsim.New(netsim.Config{Backend: name})
 		if err != nil {
 			return 0, 0, err
 		}

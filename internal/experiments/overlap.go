@@ -32,7 +32,6 @@ func AblationOverlap(scale Scale) (Table, error) {
 	for _, ov := range trainsim.OverlapModes() {
 		c := buildCluster(topo.FabricMixNet, servers, 100*topo.Gbps, plan)
 		opts := mixnetOpts(9)
-		opts.BatchComm = true // the rolling window needs the batched plan
 		opts.Overlap = ov
 		e, err := newEngine(m, plan, c, opts)
 		if err != nil {
@@ -50,7 +49,7 @@ func AblationOverlap(scale Scale) (Table, error) {
 		comm := s.ByKind[commplan.KindA2A1] + s.ByKind[commplan.KindA2A2] + s.ByKind[commplan.KindDP]
 		// The bound depends on the comm steps, not the overlap edges, so
 		// replaying it per discipline would triple the runtime for the same
-		// number: measure the serial-batch baseline and the rolling window.
+		// number: measure the "none" baseline and the rolling window.
 		bound := "-"
 		if ov != "layer" {
 			_, pooled, err := planEventBounds(e)
@@ -77,7 +76,7 @@ func AblationOverlap(scale Scale) (Table, error) {
 func planEventBounds(e *trainsim.Engine) (perCall, pooled float64, err error) {
 	part := netsim.NewPartitioner()
 	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: 16384}
+	cfg := packetsim.Config{MTU: netsim.PacketMTU}
 	g := e.Cluster.G
 	var total, globalMax, perCallSum uint64
 	for _, s := range e.CommPlan().Steps() {
@@ -169,8 +168,8 @@ func multiCoreWorkload() (*topo.Cluster, []netsim.Phases, error) {
 }
 
 // MultiCoreWallClock measures the packet backend's batched-shard wall-clock
-// speedup on this host: the same BatchMakespan workload through the serial
-// event loop and through GOMAXPROCS sharded loops, verified byte-identical,
+// speedup on this host: the same BatchMakespan workload through one event
+// loop and through GOMAXPROCS sharded loops, verified byte-identical,
 // plus the structural event-concurrency bound. On single-core hosts it
 // returns the bound with the single_core marker instead of a speedup.
 // Errors and result divergence (neither occurs on a healthy build) return
@@ -191,7 +190,7 @@ func MultiCoreWallClock() *MultiCoreReport {
 			rep.Flows += len(fs)
 		}
 	}
-	serial, err := netsim.NewWithOptions("packet", "", 1, true)
+	serial, err := netsim.New(netsim.Config{Backend: "packet"})
 	if err != nil {
 		return nil
 	}
@@ -204,7 +203,7 @@ func MultiCoreWallClock() *MultiCoreReport {
 	if rep.Cores <= 1 {
 		rep.SingleCore = true
 	} else {
-		sharded, err := netsim.NewWithOptions("packet", "", -1, true)
+		sharded, err := netsim.New(netsim.Config{Backend: "packet", Workers: -1})
 		if err != nil {
 			return nil
 		}
@@ -225,7 +224,7 @@ func MultiCoreWallClock() *MultiCoreReport {
 	}
 	part := netsim.NewPartitioner()
 	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: 16384}
+	cfg := packetsim.Config{MTU: netsim.PacketMTU}
 	var total, globalMax uint64
 	for _, ph := range steps {
 		for _, fs := range ph {

@@ -110,10 +110,10 @@ func tenancyJobs(tenants int, seed int64, dpHeavy bool) []tenancy.Job {
 	return jobs
 }
 
-// tenancyCfg is the bench fabric: MixNet at 100G on the fluid substrate
-// with batched plans, mirroring the overlap ablation's sizing.
+// tenancyCfg is the bench fabric: MixNet at 100G on the fluid substrate,
+// mirroring the overlap ablation's sizing.
 func tenancyCfg() tenancy.Config {
-	return tenancy.Config{Fabric: "mixnet", Backend: "fluid", Batch: true, LinkGbps: 100}
+	return tenancy.Config{Fabric: "mixnet", Config: netsim.Config{Backend: "fluid"}, LinkGbps: 100}
 }
 
 // tenantDigest fingerprints one tenant's stats for the bitwise
@@ -132,7 +132,7 @@ func tenantDigest(stats []trainsim.IterStats) string {
 func planEvents(e *trainsim.Engine) (total, maxShard uint64, err error) {
 	part := netsim.NewPartitioner()
 	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: 16384}
+	cfg := packetsim.Config{MTU: netsim.PacketMTU}
 	g := e.Cluster.G
 	for _, s := range e.CommPlan().Steps() {
 		if s.Phases == nil {

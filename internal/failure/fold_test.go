@@ -3,6 +3,7 @@ package failure
 import (
 	"testing"
 
+	"mixnet/internal/netsim"
 	"mixnet/internal/topo"
 	"mixnet/internal/trainsim"
 )
@@ -18,7 +19,7 @@ func foldDrillEngine(fold bool) (*trainsim.Engine, error) {
 	spec.Fold = fold
 	c := topo.BuildFatTree(spec)
 	return trainsim.New(testModel, plan, c, trainsim.Options{
-		GateSeed: 1, Backend: "analytic", Fold: fold,
+		GateSeed: 1, Config: netsim.Config{Backend: "analytic"},
 	})
 }
 

@@ -121,6 +121,11 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 			if !l.Up {
 				return res, fmt.Errorf("flowsim: flow %d uses down link %d", f.ID, lid)
 			}
+			// A non-positive share never freezes a flow in computeMaxMin, so
+			// the progressive filling would spin forever.
+			if l.Bps <= 0 {
+				return res, fmt.Errorf("flowsim: flow %d uses zero-capacity link %d", f.ID, lid)
+			}
 		}
 		f.remaining = f.Bytes
 		f.started, f.done = false, false

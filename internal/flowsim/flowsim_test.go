@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mixnet/internal/topo"
 )
@@ -165,6 +166,25 @@ func TestDownLinkErrors(t *testing.T) {
 	g.SetLinkUp(rt[0], false)
 	if _, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1}}); err == nil {
 		t.Error("expected error for flow over down link")
+	}
+}
+
+// TestNonPositiveCapacityErrors: a zero or negative link rate is rejected
+// like a down link instead of spinning progressive filling forever.
+func TestNonPositiveCapacityErrors(t *testing.T) {
+	for _, bps := range []float64{0, -400e9} {
+		g, nodes := chain(bps, 2)
+		rt := route(t, g, nodes[0], nodes[2])
+		done := make(chan error, 1)
+		go func() { _, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1 << 20}}); done <- err }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("bps %g: flow over a non-positive-capacity link accepted", bps)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("bps %g: Simulate did not return", bps)
+		}
 	}
 }
 

@@ -85,9 +85,10 @@ func SimPlans() map[string]TrainPlan {
 }
 
 // PlanFor resolves a registry model and its training plan by name, with dp
-// replicas applied (dp <= 0 keeps the plan's own DP). The simulation plan
-// takes precedence over the Table 1 plan, matching the scenario runner's
-// resolution order, so every entry point sizes a named model identically.
+// replicas applied (dp == 0 keeps the plan's own DP; a negative dp is an
+// error). The simulation plan takes precedence over the Table 1 plan,
+// matching the scenario runner's resolution order, so every entry point
+// sizes a named model identically.
 func PlanFor(name string, dp int) (Model, TrainPlan, error) {
 	m, ok := Models()[name]
 	if !ok {
@@ -99,6 +100,9 @@ func PlanFor(name string, dp int) (Model, TrainPlan, error) {
 	}
 	if !ok {
 		return Model{}, TrainPlan{}, fmt.Errorf("moe: model %q has no training plan", name)
+	}
+	if dp < 0 {
+		return Model{}, TrainPlan{}, fmt.Errorf("moe: data parallelism %d", dp)
 	}
 	if dp > 0 {
 		plan.DP = dp

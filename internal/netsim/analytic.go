@@ -143,12 +143,12 @@ func (a *Analytic) chargeSampled(g *topo.Graph, f *Flow) {
 // routes were compiled against: a path through a since-detached circuit is
 // no longer shortest (its links left the adjacency) and falls back to
 // sampled charging, and the spread may include circuits installed later in
-// the iteration. Batched and serial plan execution defer identically, so
-// they still agree byte for byte; only the estimate's reference topology
-// on reconfigurable fabrics is the end-of-iteration one (~1% iteration
-// time at quick Mixtral scale vs the historical inline simulation —
-// consistent with this backend being an even-spreading estimate, not a
-// bound against one concrete circuit schedule).
+// the iteration. Frontier execution and the step-by-step test reference
+// defer identically, so they agree byte for byte; only the estimate's
+// reference topology on reconfigurable fabrics is the end-of-iteration one
+// (~1% iteration time at quick Mixtral scale vs the historical inline
+// simulation — consistent with this backend being an even-spreading
+// estimate, not a bound against one concrete circuit schedule).
 func (a *Analytic) chargeECMP(g *topo.Graph, f *Flow) {
 	if a.router == nil || a.router.G != g {
 		a.router = topo.NewBFSRouter(g)

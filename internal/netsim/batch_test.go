@@ -34,14 +34,16 @@ func batchSteps(t *testing.T, c *topo.Cluster, nSteps int) []Phases {
 	return steps
 }
 
-// snapshotFinish records per-flow finish times so a later run over the same
-// Flow pointers can be compared byte for byte.
-func snapshotFinish(steps []Phases) []float64 {
+// takeFinish records per-flow finish times and zeroes them, so a later run
+// over the same Flow pointers must write every one of them again to
+// compare byte for byte.
+func takeFinish(steps []Phases) []float64 {
 	var out []float64
 	for _, ph := range steps {
 		for _, fs := range ph {
 			for _, f := range fs {
 				out = append(out, f.Finish)
+				f.Finish = 0
 			}
 		}
 	}
@@ -49,56 +51,40 @@ func snapshotFinish(steps []Phases) []float64 {
 }
 
 // TestBatchMakespanMatchesSerial: for every backend, BatchMakespan must
-// reproduce per-step Makespan calls exactly — makespans and per-flow finish
-// times — at every packet worker count, batch fused or not.
+// reproduce the serial reference — each step priced alone, the packet
+// backend's phases replayed unpartitioned on one event loop — exactly:
+// makespans and per-flow finish times, at every packet worker count.
 func TestBatchMakespanMatchesSerial(t *testing.T) {
 	c := topo.BuildFatTree(topo.DefaultSpec(4, 100*topo.Gbps))
 	steps := batchSteps(t, c, 4)
 
 	for _, name := range Names() {
-		// Serial reference: a fresh backend, one Makespan per step.
-		ref, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := make([]float64, len(steps))
 		for i, ph := range steps {
-			if want[i], err = ref.Makespan(c.G, ph); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			want[i] = serialMakespan(t, name, c.G, ph)
 		}
-		wantFinish := snapshotFinish(steps)
+		wantFinish := takeFinish(steps)
 
-		cases := []struct {
-			desc    string
-			workers int
-			batch   bool
-		}{
-			{"serial-adapter", 0, false},
-			{"batched-w1", 1, true},
-			{"batched-w2", 2, true},
-			{"batched-w8", 8, true},
-		}
-		for _, tc := range cases {
-			b, err := NewWithOptions(name, "", tc.workers, tc.batch)
+		for _, workers := range []int{0, 1, 2, 8} {
+			b, err := New(Config{Backend: name, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := b.BatchMakespan(c.G, steps)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, tc.desc, err)
+				t.Fatalf("%s/w%d: %v", name, workers, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d results, want %d", name, tc.desc, len(got), len(want))
+				t.Fatalf("%s/w%d: %d results, want %d", name, workers, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Errorf("%s/%s: step %d makespan %v != serial %v", name, tc.desc, i, got[i], want[i])
+					t.Errorf("%s/w%d: step %d makespan %v != serial %v", name, workers, i, got[i], want[i])
 				}
 			}
-			for i, f := range snapshotFinish(steps) {
+			for i, f := range takeFinish(steps) {
 				if f != wantFinish[i] {
-					t.Fatalf("%s/%s: flow finish %d diverged: %v != %v", name, tc.desc, i, f, wantFinish[i])
+					t.Fatalf("%s/w%d: flow finish %d diverged: %v != %v", name, workers, i, f, wantFinish[i])
 				}
 			}
 		}
@@ -112,7 +98,7 @@ func TestBatchMakespanReuse(t *testing.T) {
 	c := topo.BuildFatTree(topo.DefaultSpec(4, 100*topo.Gbps))
 	steps := batchSteps(t, c, 3)
 	for _, name := range Names() {
-		b, err := NewWithOptions(name, "", 4, true)
+		b, err := New(Config{Backend: name, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +138,7 @@ func TestBatchMakespanErrors(t *testing.T) {
 	bad := &Flow{ID: 999, Path: steps[1][0][0].Path, Bytes: -(4 << 20)}
 	steps[1] = Phases{{bad}}
 	for _, name := range Names() {
-		b, err := NewWithOptions(name, "", 4, true)
+		b, err := New(Config{Backend: name, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

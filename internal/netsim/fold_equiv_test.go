@@ -83,11 +83,11 @@ func TestFoldedClusterByteIdenticalAcrossBackends(t *testing.T) {
 				}
 			}
 		}
-		be, err := netsim.NewWithOptions(cfg.name, "", cfg.workers, false)
+		be, err := netsim.New(netsim.Config{Backend: cfg.name, Workers: cfg.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bf, err := netsim.NewWithOptions(cfg.name, "", cfg.workers, false)
+		bf, err := netsim.New(netsim.Config{Backend: cfg.name, Workers: cfg.workers})
 		if err != nil {
 			t.Fatal(err)
 		}

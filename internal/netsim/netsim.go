@@ -89,62 +89,56 @@ const DefaultName = "fluid"
 // spreading instead of sampled-path charging (see NewAnalyticECMP).
 func Names() []string { return []string{"fluid", "packet", "analytic", "analytic-ecmp"} }
 
-// New resolves a backend by registry name. The empty string selects the
-// fluid default.
-func New(name string) (Backend, error) {
-	return NewWithCC(name, "")
+// Config selects and tunes a backend. It is the one execution-options value
+// every layer carries — trainsim.Options, scenario.Config, tenancy.Config,
+// mixnet.SimConfig and the query service's wire form embed it — and the
+// JSON keys are the service's request keys.
+type Config struct {
+	// Backend is the registry name (see Names); "" selects DefaultName.
+	Backend string `json:"backend,omitempty"`
+	// CC is the packet backend's congestion controller: "fixed" (default,
+	// the deterministic constant window), "dcqcn" (ECN-marking) or "swift"
+	// (delay-based); see packetsim.CCNames. Only the packet backend models
+	// congestion control, so an adaptive controller on any other backend is
+	// a configuration error rather than a silent no-op; "" and "fixed" are
+	// accepted everywhere.
+	CC string `json:"cc,omitempty"`
+	// Workers bounds the packet backend's pool of event loops, across which
+	// the link-disjoint flow shards of every submitted step simulate: 0 or
+	// 1 runs one loop, < 0 selects GOMAXPROCS. Per-flow results are
+	// byte-identical at every worker count; the other backends ignore it.
+	Workers int `json:"workers,omitempty"`
 }
 
-// NewWithCC resolves a backend by registry name with a packet-backend
-// congestion controller (see packetsim.CCNames). Only the packet backend
-// models congestion control, so an adaptive cc combined with any other
-// backend is a configuration error rather than a silent no-op; "" and
-// "fixed" are accepted everywhere.
-func NewWithCC(name, cc string) (Backend, error) {
-	return NewWithWorkers(name, cc, 0)
+// BackendName returns the registry name c selects.
+func (c Config) BackendName() string {
+	if c.Backend == "" {
+		return DefaultName
+	}
+	return c.Backend
 }
 
-// NewWithWorkers resolves a backend by registry name with a packet-backend
-// congestion controller and shard-parallelism bound. Only the packet
-// backend runs an event loop, so workers is a no-op on the other
-// substrates (they are single-pass already); on the packet backend 0 or 1
-// keeps the serial loop, > 1 bounds the concurrently simulated flow shards
-// and < 0 selects GOMAXPROCS. Per-flow results are byte-identical at every
-// worker count.
-func NewWithWorkers(name, cc string, workers int) (Backend, error) {
-	return NewWithOptions(name, cc, workers, false)
-}
-
-// NewWithOptions resolves a backend by registry name with a packet-backend
-// congestion controller, shard-parallelism bound and cross-step batching
-// flag. batch makes the packet backend fuse every step of a BatchMakespan
-// call into one (step, phase, shard) job pool instead of simulating the
-// steps one after another; the other backends batch-schedule independently
-// of the flag (results are byte-identical either way).
-func NewWithOptions(name, cc string, workers int, batch bool) (Backend, error) {
-	if cc != "" {
-		if err := packetsim.ValidCC(cc); err != nil {
+// New resolves c to a fresh backend.
+func New(c Config) (Backend, error) {
+	if c.CC != "" {
+		if err := packetsim.ValidCC(c.CC); err != nil {
 			return nil, fmt.Errorf("netsim: %w", err)
 		}
-		if cc != packetsim.CCFixed && name != "packet" {
-			b := name
-			if b == "" {
-				b = DefaultName
-			}
-			return nil, fmt.Errorf("netsim: congestion controller %q requires the packet backend (backend is %q)", cc, b)
+		if c.CC != packetsim.CCFixed && c.Backend != "packet" {
+			return nil, fmt.Errorf("netsim: congestion controller %q requires the packet backend (backend is %q)", c.CC, c.BackendName())
 		}
 	}
-	switch name {
+	switch c.Backend {
 	case "", "fluid":
 		return NewFluid(), nil
 	case "packet":
-		return NewPacket(PacketConfig{CC: cc, Workers: workers, Batch: batch}), nil
+		return NewPacket(c), nil
 	case "analytic":
 		return NewAnalytic(), nil
 	case "analytic-ecmp":
 		return NewAnalyticECMP(), nil
 	}
-	return nil, fmt.Errorf("netsim: unknown backend %q (have %v)", name, Names())
+	return nil, fmt.Errorf("netsim: unknown backend %q (have %v)", c.Backend, Names())
 }
 
 // TotalBytes sums the payload of a flow set.

@@ -33,7 +33,7 @@ func a2aPhases(t *testing.T, c *topo.Cluster, bytes float64) Phases {
 
 func TestBackendRegistry(t *testing.T) {
 	for _, name := range append(Names(), "") {
-		b, err := New(name)
+		b, err := New(Config{Backend: name})
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
@@ -45,7 +45,7 @@ func TestBackendRegistry(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q", name, b.Name())
 		}
 	}
-	if _, err := New("quantum"); err == nil {
+	if _, err := New(Config{Backend: "quantum"}); err == nil {
 		t.Error("unknown backend accepted")
 	}
 }
@@ -62,7 +62,7 @@ func TestBackendsCrossValidate(t *testing.T) {
 		phases := a2aPhases(t, c, 8<<20)
 		times := map[string]float64{}
 		for _, name := range Names() {
-			b, err := New(name)
+			b, err := New(Config{Backend: name})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestBackendsMultiPhaseAndStarts(t *testing.T) {
 		{}, // empty phases contribute nothing
 	}
 	for _, name := range Names() {
-		b, _ := New(name)
+		b, _ := New(Config{Backend: name})
 		ms, err := b.Makespan(c.G, phases)
 		if err != nil {
 			t.Fatal(err)
@@ -125,10 +125,10 @@ func TestBackendsMultiPhaseAndStarts(t *testing.T) {
 	}
 }
 
-func TestNewWithCC(t *testing.T) {
+func TestNewCC(t *testing.T) {
 	// Adaptive controllers resolve only with the packet backend.
 	for _, cc := range []string{"dcqcn", "swift"} {
-		b, err := NewWithCC("packet", cc)
+		b, err := New(Config{Backend: "packet", CC: cc})
 		if err != nil {
 			t.Fatalf("packet/%s: %v", cc, err)
 		}
@@ -136,7 +136,7 @@ func TestNewWithCC(t *testing.T) {
 			t.Errorf("packet/%s: backend %q", cc, b.Name())
 		}
 		for _, backend := range []string{"", "fluid", "analytic"} {
-			if _, err := NewWithCC(backend, cc); err == nil {
+			if _, err := New(Config{Backend: backend, CC: cc}); err == nil {
 				t.Errorf("%q/%s accepted: adaptive cc must require the packet backend", backend, cc)
 			}
 		}
@@ -144,12 +144,12 @@ func TestNewWithCC(t *testing.T) {
 	// "fixed" and "" are harmless everywhere.
 	for _, backend := range []string{"", "fluid", "packet", "analytic"} {
 		for _, cc := range []string{"", "fixed"} {
-			if _, err := NewWithCC(backend, cc); err != nil {
+			if _, err := New(Config{Backend: backend, CC: cc}); err != nil {
 				t.Errorf("%q/%q: %v", backend, cc, err)
 			}
 		}
 	}
-	if _, err := NewWithCC("packet", "bbr"); err == nil {
+	if _, err := New(Config{Backend: "packet", CC: "bbr"}); err == nil {
 		t.Error("unknown controller accepted")
 	}
 }
@@ -165,7 +165,7 @@ func TestPacketCCBackendsCrossValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cc := range []string{"fixed", "dcqcn", "swift"} {
-		b, err := NewWithCC("packet", cc)
+		b, err := New(Config{Backend: "packet", CC: cc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestAnalyticZeroCapacityErrors(t *testing.T) {
 		t.Fatalf("zero-capacity link accepted: makespan %v", ms)
 	}
 	// The packet backend rejects it too.
-	if _, err := NewPacket(PacketConfig{}).Makespan(g, phases); err == nil {
+	if _, err := NewPacket(Config{}).Makespan(g, phases); err == nil {
 		t.Error("packet backend accepted zero-capacity link")
 	}
 }
@@ -225,7 +225,7 @@ func TestBackendsRejectDownLink(t *testing.T) {
 	down := phases[0][0].Path[0]
 	c.G.SetLinkUp(down, false)
 	for _, name := range Names() {
-		b, _ := New(name)
+		b, _ := New(Config{Backend: name})
 		if _, err := b.Makespan(c.G, phases); err == nil {
 			t.Errorf("%s: down link accepted", name)
 		}
@@ -308,7 +308,7 @@ func benchBackend(b *testing.B, name string) {
 		}
 	}
 	phases := Phases{fs}
-	back, err := New(name)
+	back, err := New(Config{Backend: name})
 	if err != nil {
 		b.Fatal(err)
 	}

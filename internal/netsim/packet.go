@@ -8,126 +8,79 @@ import (
 	"mixnet/internal/topo"
 )
 
-// PacketConfig tunes the packet backend's segmentation and pacing.
-type PacketConfig struct {
-	// MTU is the payload bytes per packet. The backend default is 16 KiB —
-	// coarser than packetsim's own 4 KiB default — so end-to-end training
-	// runs (hundreds of MB per all-to-all) stay tractable while per-flow
-	// packet counts remain in the thousands.
-	MTU int64
-	// Window is the packets in flight per flow (default: packetsim's 64).
-	Window int
-	// CC selects the congestion controller sources pace with: "fixed"
-	// (default, the deterministic constant window), "dcqcn" (ECN-marking)
-	// or "swift" (delay-based). See packetsim.CCNames.
-	CC string
-	// Workers bounds the event loops running concurrently: each phase is
-	// partitioned into connected components over shared links and the
-	// components simulate in parallel, with byte-identical per-flow finish
-	// times regardless of the worker count. 0 or 1 (the default) keeps the
-	// historical single serial event loop; a negative value selects
-	// GOMAXPROCS. The pool never exceeds a phase's component count.
-	Workers int
-	// Batch makes BatchMakespan fuse every submitted step into one
-	// (step, phase, shard) job pool so the Workers event loops steal work
-	// across step boundaries — a step whose hot shard paces it no longer
-	// idles the pool while other steps have runnable shards. Off, steps of
-	// a batch simulate one after another. Per-step results are
-	// byte-identical either way.
-	Batch bool
-}
+// PacketMTU is the packet backend's payload bytes per packet: 16 KiB —
+// coarser than packetsim's own 4 KiB default — so end-to-end training runs
+// (hundreds of MB per all-to-all) stay tractable while per-flow packet
+// counts remain in the thousands. Sources pace with packetsim's default
+// window under the configured congestion controller.
+const PacketMTU = 16384
 
 // Packet is the event-driven packet-level backend (internal/packetsim,
-// htsim-style). The serial path reuses one packetsim.Sim — event-queue
-// storage and the per-link busy array survive across phases — plus a
-// flow-conversion buffer, so repeated calls don't rebuild per-graph state
-// from scratch. With Workers > 1 each phase is partitioned into link-disjoint
-// shards that replay on a pool of reusable event loops (one per worker) and
-// merge deterministically; with Batch the same pool additionally drains the
-// jobs of every step submitted to BatchMakespan at once.
+// htsim-style). Every submission — one Makespan call or a whole
+// BatchMakespan frontier — partitions each phase into link-disjoint shards
+// and drains all (step, phase, shard) jobs on one pool of reusable event
+// loops, so a step whose hot shard paces it overlaps other steps' shards.
+// Event-queue storage, the per-link busy arrays, the partitioner arenas and
+// the flow-conversion buffers all survive across calls.
 type Packet struct {
 	cfg     packetsim.Config
 	workers int
-	batch   bool
-	sim     *packetsim.Sim
-	buf     []packetsim.Flow
-	ptrs    []*packetsim.Flow
-
-	// sharded/batched-path state, allocated on first parallel use.
 	part    *Partitioner
 	sharded *packetsim.ShardedSim
+
+	buf     []packetsim.Flow
+	ptrs    []*packetsim.Flow
 	shards  [][]*packetsim.Flow // per-shard views into buf
 	stepOf  []int               // shard index -> step index within the batch
 	phaseOf []int               // shard index -> phase index within its step
 	order   []*Flow             // netsim flows in partition order, for Finish copy-back
 	totals  []float64           // per-step makespans of the last submission
-	serial  []float64           // SerialBatch output (distinct from totals: Makespan writes totals)
 	oneStep [1]Phases           // reusable single-step batch for Makespan
 }
 
-// NewPacket returns a reusable packet backend.
-func NewPacket(cfg PacketConfig) *Packet {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 16384
-	}
-	if cfg.Workers < 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+// NewPacket returns a reusable packet backend pacing with c.CC on a pool of
+// c.Workers event loops (c.Backend is not consulted). Each submission's
+// (step, phase, component) jobs drain on the pool, which never exceeds the
+// job count; per-flow finish times are byte-identical at every size.
+func NewPacket(c Config) *Packet {
+	// packetsim resolves a non-positive worker count to GOMAXPROCS, so the
+	// one-loop default must be spelled out.
+	switch {
+	case c.Workers < 0:
+		c.Workers = runtime.GOMAXPROCS(0)
+	case c.Workers == 0:
+		c.Workers = 1
 	}
 	return &Packet{
-		cfg:     packetsim.Config{MTU: cfg.MTU, Window: cfg.Window, CC: cfg.CC},
-		workers: cfg.Workers,
-		batch:   cfg.Batch,
-		sim:     packetsim.NewSim(),
+		cfg:     packetsim.Config{MTU: PacketMTU, CC: c.CC},
+		workers: c.Workers,
+		part:    NewPartitioner(),
+		sharded: packetsim.NewShardedSim(),
 	}
 }
 
-// Workers returns the resolved worker bound (0 or 1 = serial).
+// Workers returns the resolved event-loop bound (>= 1).
 func (p *Packet) Workers() int { return p.workers }
-
-// Batched reports whether BatchMakespan fuses steps into one job pool.
-func (p *Packet) Batched() bool { return p.batch }
 
 // Name implements Backend.
 func (*Packet) Name() string { return "packet" }
 
-// Makespan implements Backend: each phase is segmented into packets and
-// replayed on the reusable event-driven simulator — one serial loop by
-// default, or Workers parallel loops with Workers > 1.
+// Makespan implements Backend as a one-step submission.
 func (p *Packet) Makespan(g *topo.Graph, phases Phases) (float64, error) {
-	if p.workers > 1 {
-		p.oneStep[0] = phases
-		totals, err := p.submitBatch(g, p.oneStep[:])
-		p.oneStep[0] = nil
-		if err != nil {
-			return 0, err
-		}
-		return totals[0], nil
+	p.oneStep[0] = phases
+	totals, err := p.submitBatch(g, p.oneStep[:])
+	p.oneStep[0] = nil
+	if err != nil {
+		return 0, err
 	}
-	var total float64
-	for _, fs := range phases {
-		if len(fs) == 0 {
-			continue
-		}
-		ms, err := p.serialPhase(g, fs)
-		if err != nil {
-			return 0, err
-		}
-		total += ms
-	}
-	return total, nil
+	return totals[0], nil
 }
 
-// BatchMakespan implements Backend. Without the Batch knob the steps are
-// simulated one after another (each still sharded across Workers loops when
-// Workers > 1); with it, every step's (phase, shard) jobs are flattened
-// into one submission and the worker pool steals work across steps. The
-// returned slice is owned by the backend and valid until the next call.
+// BatchMakespan implements Backend: every step's (phase, shard) jobs are
+// flattened into one submission and the worker pool steals work across
+// steps. The returned slice is owned by the backend and valid until the
+// next call.
 func (p *Packet) BatchMakespan(g *topo.Graph, steps []Phases) ([]float64, error) {
-	if !p.batch {
-		out, err := SerialBatch(p, g, steps, p.serial)
-		p.serial = out[:0:cap(out)]
-		return out, err
-	}
 	return p.submitBatch(g, steps)
 }
 
@@ -142,39 +95,15 @@ func (p *Packet) convert(i int, f *Flow) {
 	p.ptrs[i] = &p.buf[i]
 }
 
-// serialPhase runs one phase on the single reusable event loop — the
-// historical byte-identical packet backend.
-func (p *Packet) serialPhase(g *topo.Graph, fs []*Flow) (float64, error) {
-	if cap(p.buf) < len(fs) {
-		p.buf = make([]packetsim.Flow, len(fs))
-		p.ptrs = make([]*packetsim.Flow, len(fs))
-	}
-	p.buf, p.ptrs = p.buf[:len(fs)], p.ptrs[:len(fs)]
-	for i, f := range fs {
-		p.convert(i, f)
-	}
-	res, err := p.sim.Simulate(g, p.ptrs, p.cfg)
-	if err != nil {
-		return 0, err
-	}
-	for i, f := range fs {
-		f.Finish = p.buf[i].Finish.Seconds()
-	}
-	return res.Makespan.Seconds(), nil
-}
-
 // submitBatch partitions every (step, phase) into link-disjoint components
 // and runs all (step, phase, shard) jobs on one worker pool. Phases are
-// independent simulations — the serial loop resets all state between them
-// and sums their makespans — so a step whose hot shard paces it can overlap
-// other steps' shards instead of serialising the batch. Per-flow finish
-// times (phase-relative, as always) and each step's summed makespan are
-// byte-identical to simulating the steps one at a time on the serial loop.
+// independent simulations — each starts from an empty network at virtual
+// time 0, and a step's makespan is the sum of its phases' — so a step whose
+// hot shard paces it can overlap other steps' shards instead of
+// serialising the batch. Per-flow finish times (phase-relative, as always)
+// and each step's summed makespan are byte-identical to replaying every
+// phase, unpartitioned, on one event loop.
 func (p *Packet) submitBatch(g *topo.Graph, steps []Phases) ([]float64, error) {
-	if p.part == nil {
-		p.part = NewPartitioner()
-		p.sharded = packetsim.NewShardedSim()
-	}
 	if cap(p.totals) < len(steps) {
 		p.totals = make([]float64, len(steps))
 	}
@@ -227,9 +156,10 @@ func (p *Packet) submitBatch(g *topo.Graph, steps []Phases) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per step: sum per-phase maxima in phase order, mirroring the serial
-	// loop's "convert each phase's makespan to seconds, then add" float
-	// sequence. Shards arrive grouped by (step, phase) in input order.
+	// Per step: sum per-phase maxima in phase order — "convert each phase's
+	// makespan to seconds, then add", the float sequence of replaying the
+	// phases one after another. Shards arrive grouped by (step, phase) in
+	// input order.
 	for i := range totals {
 		totals[i] = 0
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mixnet/internal/topo"
@@ -113,10 +114,10 @@ func TestPartitionSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPacketShardedByteIdentical is the tentpole regression: for every
-// congestion controller, the sharded packet backend must reproduce the
-// serial backend's per-flow finish times and makespan bit-for-bit at every
-// worker count.
+// TestPacketShardedByteIdentical: for every congestion controller, the
+// sharded packet backend must reproduce the serial reference — each phase
+// replayed unpartitioned on one event loop — per-flow finish times and
+// makespan bit-for-bit at every worker count.
 func TestPacketShardedByteIdentical(t *testing.T) {
 	for _, tname := range []string{"fat-tree", "mixnet"} {
 		var c *topo.Cluster
@@ -129,22 +130,10 @@ func TestPacketShardedByteIdentical(t *testing.T) {
 			// Two phases, so the cross-phase job pool is exercised too.
 			phases := a2aPhases(t, c, 4<<20)
 			phases = append(phases, a2aPhases(t, c, 1<<20)[0])
-			serial := NewPacket(PacketConfig{CC: cc})
-			if _, err := serial.Makespan(c.G, phases); err != nil {
-				t.Fatal(err)
-			}
-			var want []float64
-			for _, fs := range phases {
-				for _, f := range fs {
-					want = append(want, f.Finish)
-				}
-			}
-			wantMs, err := serial.Makespan(c.G, phases) // deterministic re-run
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				b := NewPacket(PacketConfig{CC: cc, Workers: workers})
+			wantMs := serialPacket(t, c.G, phases, cc)
+			want := takeFinish([]Phases{phases})
+			for _, workers := range []int{0, 1, 2, 4, 8} {
+				b := NewPacket(Config{CC: cc, Workers: workers})
 				ms, err := b.Makespan(c.G, phases)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", tname, cc, workers, err)
@@ -152,14 +141,10 @@ func TestPacketShardedByteIdentical(t *testing.T) {
 				if ms != wantMs {
 					t.Errorf("%s/%s workers=%d: makespan %v, serial %v", tname, cc, workers, ms, wantMs)
 				}
-				i := 0
-				for _, fs := range phases {
-					for _, f := range fs {
-						if f.Finish != want[i] {
-							t.Fatalf("%s/%s workers=%d: flow %d Finish %v, serial %v",
-								tname, cc, workers, f.ID, f.Finish, want[i])
-						}
-						i++
+				for i, f := range takeFinish([]Phases{phases}) {
+					if f != want[i] {
+						t.Fatalf("%s/%s workers=%d: flow finish %d = %v, serial %v",
+							tname, cc, workers, i, f, want[i])
 					}
 				}
 			}
@@ -173,7 +158,7 @@ func TestPacketShardedByteIdentical(t *testing.T) {
 func TestPacketShardedSteadyStateAllocsStable(t *testing.T) {
 	c := topo.BuildFatTree(topo.DefaultSpec(4, 100*topo.Gbps))
 	phases := a2aPhases(t, c, 1<<20)
-	b := NewPacket(PacketConfig{Workers: 4})
+	b := NewPacket(Config{Workers: 4})
 	run := func() {
 		if _, err := b.Makespan(c.G, phases); err != nil {
 			t.Fatal(err)
@@ -187,34 +172,26 @@ func TestPacketShardedSteadyStateAllocsStable(t *testing.T) {
 	}
 }
 
-func TestNewWithWorkers(t *testing.T) {
-	b, err := NewWithWorkers("packet", "", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := b.(*Packet); !ok || p.Workers() != 4 {
-		t.Errorf("NewWithWorkers(packet, 4) = %T workers %d", b, b.(*Packet).Workers())
-	}
-	// Workers is a no-op on non-event-loop backends, not an error.
-	for _, name := range []string{"", "fluid", "analytic", "analytic-ecmp"} {
-		if _, err := NewWithWorkers(name, "", 8); err != nil {
-			t.Errorf("NewWithWorkers(%q, 8): %v", name, err)
+// TestNewWorkers: Workers 0 must resolve to one event loop, not fall
+// through to packetsim's GOMAXPROCS default; a negative count selects
+// GOMAXPROCS; the other backends accept and ignore it.
+func TestNewWorkers(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{0, 1}, {1, 1}, {4, 4}, {-1, runtime.GOMAXPROCS(0)}} {
+		if got := NewPacket(Config{Workers: tc.in}).Workers(); got != tc.want {
+			t.Errorf("workers %d resolved to %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	// Negative workers resolve to GOMAXPROCS.
-	b, err = NewWithWorkers("packet", "", -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := b.(*Packet); p.Workers() < 1 {
-		t.Errorf("workers=-1 resolved to %d", p.Workers())
+	for _, name := range append(Names(), "") {
+		if _, err := New(Config{Backend: name, Workers: 8}); err != nil {
+			t.Errorf("New(%q, workers 8): %v", name, err)
+		}
 	}
 }
 
 // TestAnalyticECMPRegistry: the ECMP-spreading variant resolves by name and
 // reports it.
 func TestAnalyticECMPRegistry(t *testing.T) {
-	b, err := New("analytic-ecmp")
+	b, err := New(Config{Backend: "analytic-ecmp"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestCollectivePhasesDecompose(t *testing.T) {
 
 	p := netsim.NewPartitioner()
 	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: 16384} // the netsim packet backend's MTU
+	cfg := packetsim.Config{MTU: netsim.PacketMTU}
 	decomposed := 0
 	var totalEvents, maxShardEvents uint64
 	for pi, fs := range phases {

@@ -12,9 +12,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 
 	"mixnet/internal/failure"
 	"mixnet/internal/moe"
+	"mixnet/internal/netsim"
 	"mixnet/internal/ocs"
 	"mixnet/internal/parallel"
 	"mixnet/internal/tenancy"
@@ -32,19 +34,10 @@ type Config struct {
 	// "rail", "topoopt" or "mixnet" (the default — the only fabric with
 	// runtime reconfiguration, so every drill in the matrix is meaningful).
 	Fabric string
-	// Backend is the netsim substrate: "fluid" (default), "packet",
-	// "analytic" or "analytic-ecmp".
-	Backend string
-	// CC is the packet backend's congestion controller.
-	CC string
-	// Workers bounds the packet backend's parallel shard event loops
-	// (0/1 = serial, < 0 = GOMAXPROCS).
-	Workers int
-	// Batch submits each iteration's communication plan to the backend in
-	// ready frontiers (independent layer A2As and the DP all-reduce
-	// simulate concurrently) instead of step by step. Results are
-	// byte-identical either way.
-	Batch bool
+	// Config selects the netsim substrate ("fluid" by default, "packet",
+	// "analytic" or "analytic-ecmp"), the packet backend's congestion
+	// controller and its event-loop pool size.
+	netsim.Config
 	// LinkGbps is the NIC line rate in Gbit/s (default 400).
 	LinkGbps float64
 	// DP replicates the model (default 1).
@@ -159,6 +152,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate rejects numeric settings no run can mean: a negative iteration
+// count, a link rate that is not a positive finite number, or a negative or
+// infinite reconfiguration delay (zero values take the defaults). Negative
+// data parallelism fails model resolution (moe.PlanFor).
+func (c Config) Validate() error {
+	switch {
+	case c.Iterations < 0:
+		return fmt.Errorf("scenario: %d iterations", c.Iterations)
+	case !(c.LinkGbps >= 0) || math.IsInf(c.LinkGbps, 1):
+		return fmt.Errorf("scenario: link rate %g Gbps, want a finite rate > 0", c.LinkGbps)
+	case !(c.ReconfigDelaySec >= 0) || math.IsInf(c.ReconfigDelaySec, 1):
+		return fmt.Errorf("scenario: reconfiguration delay %gs, want a finite delay >= 0", c.ReconfigDelaySec)
+	}
+	return nil
+}
+
 // modelPlan resolves the model and its training plan with DP applied
 // (moe.PlanFor — the resolution every entry point shares).
 func modelPlan(cfg Config) (moe.Model, moe.TrainPlan, error) {
@@ -211,6 +220,9 @@ func NewEngine(cfg Config) (*trainsim.Engine, error) {
 // newEngine builds one training engine for cfg, optionally replacing the
 // synthetic gate with another iteration source.
 func newEngine(cfg Config, src trainsim.IterationSource) (*trainsim.Engine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	m, plan, err := modelPlan(cfg)
 	if err != nil {
 		return nil, err
@@ -220,9 +232,7 @@ func newEngine(cfg Config, src trainsim.IterationSource) (*trainsim.Engine, erro
 		return nil, err
 	}
 	opts := trainsim.Options{
-		GateSeed: cfg.Seed, Backend: cfg.Backend, CC: cfg.CC,
-		Workers: cfg.Workers, BatchComm: cfg.Batch, Fold: cfg.Fold,
-		Overlap: cfg.Overlap, Source: src,
+		GateSeed: cfg.Seed, Config: cfg.Config, Overlap: cfg.Overlap, Source: src,
 	}
 	if cfg.Fabric == "mixnet" {
 		opts.Device = ocs.NewFixedDevice(cfg.ReconfigDelaySec)
@@ -274,18 +284,11 @@ func runEngine(cfg Config, name string, src trainsim.IterationSource) (Result, e
 		return Result{}, fmt.Errorf("scenario %s: %w", name, err)
 	}
 	return Result{
-		Scenario: name, Backend: backendName(cfg),
+		Scenario: name, Backend: cfg.BackendName(),
 		GPUs: e.Cluster.GPUCount(), Servers: len(e.Cluster.Servers),
 		Iterations:   cfg.Iterations,
 		MeanIterTime: trainsim.MeanIterTime(stats),
 	}, nil
-}
-
-func backendName(cfg Config) string {
-	if cfg.Backend == "" {
-		return "fluid"
-	}
-	return cfg.Backend
 }
 
 // drill measures a failure scenario: a clean engine and a faulty engine are
@@ -407,8 +410,7 @@ func DrillInjector(name string) (Injector, bool) {
 // numbers on shared-link interference, not to showcase the identity mode.
 func tenancyConfig(cfg Config) tenancy.Config {
 	return tenancy.Config{
-		Fabric: cfg.Fabric, Backend: cfg.Backend, CC: cfg.CC,
-		Workers: cfg.Workers, Batch: cfg.Batch, LinkGbps: cfg.LinkGbps,
+		Fabric: cfg.Fabric, Config: cfg.Config, LinkGbps: cfg.LinkGbps,
 		ReconfigDelaySec: cfg.ReconfigDelaySec, Contend: true,
 	}
 }
@@ -442,7 +444,7 @@ func runCoTenant(cfg Config, name string) (Result, error) {
 		return Result{}, fmt.Errorf("scenario %s: solo baseline: %w", name, err)
 	}
 	res := Result{
-		Scenario: name, Backend: backendName(cfg),
+		Scenario: name, Backend: cfg.BackendName(),
 		GPUs: cs.Cluster.GPUCount(), Servers: len(cs.Cluster.Servers),
 		Iterations:       cfg.Iterations,
 		MeanIterTime:     trainsim.MeanIterTime(cs.Tenant("primary").Stats),
@@ -483,7 +485,7 @@ func runCoTenantSteal(cfg Config, name string) (Result, error) {
 		return Result{}, fmt.Errorf("scenario %s: %w", name, err)
 	}
 	res := Result{
-		Scenario: name, Backend: backendName(cfg),
+		Scenario: name, Backend: cfg.BackendName(),
 		GPUs: faulty.Cluster.GPUCount(), Servers: len(faulty.Cluster.Servers),
 		Iterations:       cfg.Iterations,
 		MeanIterTime:     trainsim.MeanIterTime(s.Stats),
@@ -498,6 +500,9 @@ func runCoTenantSteal(cfg Config, name string) (Result, error) {
 // run executes one scenario; base optionally supplies a memoized clean run
 // of the same configuration for the failure drills.
 func run(name string, cfg Config, base *Result) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	switch name {
 	case Synthetic:
 		return runEngine(cfg, name, nil)
@@ -574,14 +579,14 @@ func RunMatrix(scenarios, backends []string, cfg Config) ([]Result, error) {
 			if isDrill(sc) && base == nil {
 				r, err := runEngine(c, Synthetic, nil)
 				if err != nil {
-					return out, fmt.Errorf("%s/%s: baseline: %w", sc, backendName(c), err)
+					return out, fmt.Errorf("%s/%s: baseline: %w", sc, c.BackendName(), err)
 				}
 				base = &r
 				clean[b] = base
 			}
 			r, err := run(sc, c, base)
 			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", sc, backendName(c), err)
+				return out, fmt.Errorf("%s/%s: %w", sc, c.BackendName(), err)
 			}
 			if sc == Synthetic && clean[b] == nil {
 				memo := r

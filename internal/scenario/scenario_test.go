@@ -194,4 +194,19 @@ func TestScenarioErrors(t *testing.T) {
 	if _, err := Run(Synthetic, cfg); err == nil {
 		t.Error("unknown backend accepted")
 	}
+	// Numbers no run can mean: errors, not panics, hangs or negative times.
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Iterations = -1 },
+		func(c *Config) { c.DP = -1 },
+		func(c *Config) { c.LinkGbps = -400 },
+		func(c *Config) { c.ReconfigDelaySec = -1 },
+	} {
+		cfg = quickCfg()
+		mut(&cfg)
+		for _, name := range []string{Synthetic, FailNIC, CoTenant} {
+			if _, err := Run(name, cfg); err == nil {
+				t.Errorf("%s: %+v accepted", name, cfg)
+			}
+		}
+	}
 }

@@ -9,7 +9,7 @@
 package serve
 
 import (
-	"fmt"
+	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,24 +94,32 @@ func NewPool(maxIdle, maxUses, memoCap int) *Pool {
 	return &Pool{shapes: make(map[string]*shapeEntry), maxIdle: maxIdle, maxUses: maxUses, memoCap: memoCap}
 }
 
-// ShapeKey canonicalizes a configuration to its engine-shape identity:
-// defaults applied, with the per-query knobs (Seed, Iterations, Trace)
-// zeroed, so two queries differing only in those share warm engines.
+// ShapeKey canonicalizes a configuration to its engine-shape identity: the
+// canonical JSON form the result cache keys on (defaults applied), with the
+// per-query knobs (Seed, Iterations, Trace) zeroed, so two queries
+// differing only in those share warm engines and every other field —
+// including ones added later — splits the pool. A configuration JSON cannot
+// encode (a non-finite float, which Validate rejects) keys as "".
 func ShapeKey(cfg scenario.Config) string {
 	c := cfg.WithDefaults()
-	c.Seed = 0
-	c.Iterations = 0
-	c.Trace = nil
-	return fmt.Sprintf("m=%s|f=%s|b=%s|cc=%s|w=%d|batch=%t|gbps=%g|dp=%d|a2a=%s|rd=%g|fold=%t|ov=%s",
-		c.Model, c.Fabric, c.Backend, c.CC, c.Workers, c.Batch, c.LinkGbps,
-		c.DP, c.FirstA2A, c.ReconfigDelaySec, c.Fold, c.Overlap)
+	c.Seed, c.Iterations, c.Trace = 0, 0, nil
+	b, err := json.Marshal(c)
+	if err != nil {
+		return ""
+	}
+	return string(b)
 }
 
 // Acquire leases an engine for cfg's shape, reusing a pooled one when
-// available (PrepareRun rewinds it to cfg.Seed) or building fresh. The
-// caller owns the engine exclusively until Release/Evict.
+// available (PrepareRun rewinds it to cfg.Seed) or building fresh. cfg is
+// validated first: a warm engine skips construction, so construction-time
+// checks cannot be relied on. The caller owns the engine exclusively until
+// Release/Evict.
 func (p *Pool) Acquire(cfg scenario.Config) (*Lease, error) {
 	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	key := ShapeKey(cfg)
 	p.mu.Lock()
 	entry := p.shapes[key]

@@ -11,6 +11,7 @@ import (
 
 	"mixnet"
 	"mixnet/internal/collective"
+	"mixnet/internal/netsim"
 	"mixnet/internal/scenario"
 	"mixnet/internal/trainsim"
 )
@@ -21,12 +22,10 @@ import (
 // engines). Omitted fields take the scenario defaults: Mixtral 8x7B on a
 // MixNet fabric at 400 Gbps over the fluid backend.
 type QueryConfig struct {
-	Model            string  `json:"model,omitempty"`
-	Fabric           string  `json:"fabric,omitempty"`
-	Backend          string  `json:"backend,omitempty"`
-	CC               string  `json:"cc,omitempty"`
-	Workers          int     `json:"workers,omitempty"`
-	Batch            bool    `json:"batch,omitempty"`
+	Model  string `json:"model,omitempty"`
+	Fabric string `json:"fabric,omitempty"`
+	// Config carries the backend, cc and workers keys.
+	netsim.Config
 	LinkGbps         float64 `json:"link_gbps,omitempty"`
 	DP               int     `json:"dp,omitempty"`
 	Iterations       int     `json:"iterations,omitempty"`
@@ -44,8 +43,7 @@ type QueryConfig struct {
 
 func (q QueryConfig) scenarioConfig() scenario.Config {
 	return scenario.Config{
-		Model: q.Model, Fabric: q.Fabric, Backend: q.Backend, CC: q.CC,
-		Workers: q.Workers, Batch: q.Batch, LinkGbps: q.LinkGbps, DP: q.DP,
+		Model: q.Model, Fabric: q.Fabric, Config: q.Config, LinkGbps: q.LinkGbps, DP: q.DP,
 		Iterations: q.Iterations, Seed: q.Seed, FirstA2A: q.FirstA2A,
 		ReconfigDelaySec: q.ReconfigDelaySec, Fold: q.Fold, Overlap: q.Overlap,
 	}
@@ -524,7 +522,7 @@ func (s *Server) baseline(cfg scenario.Config) (scenario.Result, Meta, error) {
 		return scenario.Result{}, meta, err
 	}
 	cell.res = scenario.Result{
-		Backend: backendName(cfg),
+		Backend: cfg.BackendName(),
 		GPUs:    e.Cluster.GPUCount(), Servers: len(e.Cluster.Servers),
 		Iterations:   cfg.Iterations,
 		MeanIterTime: trainsim.MeanIterTime(stats),
@@ -567,13 +565,6 @@ func (s *Server) dropBaseline(key string, cell *baselineCell) {
 		}
 	}
 	s.baseMu.Unlock()
-}
-
-func backendName(cfg scenario.Config) string {
-	if cfg.Backend == "" {
-		return "fluid"
-	}
-	return cfg.Backend
 }
 
 func wantPost(w http.ResponseWriter, r *http.Request) bool {

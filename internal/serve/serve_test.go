@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -48,6 +49,45 @@ func TestShapeKeyIgnoresPerQueryKnobs(t *testing.T) {
 	// Defaults canonicalize: zero config and spelled-out defaults collide.
 	if ShapeKey(scenario.Config{}) != ShapeKey(scenario.Config{}.WithDefaults()) {
 		t.Error("defaulted and explicit configs key differently")
+	}
+}
+
+// TestShapeKeyCoversEveryField: the key is derived from the canonical
+// configuration, so changing any scenario.Config field other than the
+// per-query Seed, Iterations and Trace — embedded execution options
+// included — must change it. A field this test cannot set fails it, so a
+// new field type gets a deliberate decision instead of a silent pass.
+func TestShapeKeyCoversEveryField(t *testing.T) {
+	t.Parallel()
+	var cfg scenario.Config
+	base := ShapeKey(cfg)
+	v := reflect.ValueOf(&cfg).Elem()
+	for _, sf := range reflect.VisibleFields(v.Type()) {
+		if sf.Anonymous || sf.Name == "Seed" || sf.Name == "Iterations" || sf.Name == "Trace" {
+			continue
+		}
+		f := v.FieldByIndex(sf.Index)
+		saved := reflect.ValueOf(f.Interface())
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s: unhandled kind %v", sf.Name, f.Kind())
+		}
+		if ShapeKey(cfg) == base {
+			t.Errorf("changing %s did not change the shape key", sf.Name)
+		}
+		f.Set(saved)
+	}
+	cfg.Trace = strings.NewReader("{}")
+	if ShapeKey(cfg) != base {
+		t.Error("a trace reader changed the shape key")
 	}
 }
 
@@ -541,6 +581,51 @@ func TestServeHTTPErrors(t *testing.T) {
 	}
 	if r := post("/v1/cost", `{"fabric":"warp-drive","servers":8,"gbps":100}`); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown fabric: %d, want 400", r.StatusCode)
+	}
+}
+
+// TestInvalidQueriesRejected: numeric settings no run can mean get a 400
+// within the client's deadline — not a worker spinning forever on a
+// negative link rate, nor a panic that kills the process — on a cold pool
+// and on a warm engine of the same shape (a warm engine skips
+// construction, so the pool must validate).
+func TestInvalidQueriesRejected(t *testing.T) {
+	t.Parallel()
+	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Drain()
+	}()
+	hc := ts.Client()
+	hc.Timeout = 30 * time.Second
+	post := func(path, body string) int {
+		resp, err := hc.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s %s: %v", path, body, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Warm the pool with the fat-tree shape the iteration-count cases share.
+	if code := post("/v1/iter", `{"fabric":"fat-tree","iterations":1,"seed":1}`); code != http.StatusOK {
+		t.Fatalf("warm-up query: %d", code)
+	}
+	bodies := []string{
+		`{"link_gbps":-400}`,
+		`{"fabric":"fat-tree","link_gbps":-400}`,
+		`{"fabric":"fat-tree","iterations":-1,"seed":1}`,
+		`{"reconfig_delay_sec":-1}`,
+		`{"dp":-1}`,
+	}
+	for _, body := range bodies {
+		if code := post("/v1/iter", body); code != http.StatusBadRequest {
+			t.Errorf("/v1/iter %s: %d, want 400", body, code)
+		}
+		drill := `{"scenario":"fail-nic",` + body[1:]
+		if code := post("/v1/failure", drill); code != http.StatusBadRequest {
+			t.Errorf("/v1/failure %s: %d, want 400", drill, code)
+		}
 	}
 }
 

@@ -72,16 +72,10 @@ type Config struct {
 	// Fabric selects the interconnect: "fat-tree", "oversub", "rail",
 	// "topoopt" or "mixnet" (default).
 	Fabric string
-	// Backend is the shared netsim substrate every tenant's plan drains on:
-	// "fluid" (default), "packet", "analytic" or "analytic-ecmp".
-	Backend string
-	// CC is the packet backend's congestion controller.
-	CC string
-	// Workers bounds the packet backend's parallel shard event loops.
-	Workers int
-	// Batch submits each merged frontier as one BatchMakespan call; off,
-	// steps run one at a time in the same order. Byte-identical either way.
-	Batch bool
+	// Config selects the shared netsim substrate every tenant's plan drains
+	// on ("fluid" by default), its congestion controller and event-loop
+	// pool size.
+	netsim.Config
 	// LinkGbps is the NIC line rate in Gbit/s (default 400).
 	LinkGbps float64
 	// ReconfigDelaySec is the OCS reconfiguration latency (default 25 ms).
@@ -174,6 +168,12 @@ func New(cfg Config, jobs []Job) (*CoSim, error) {
 	cfg = cfg.withDefaults()
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("tenancy: no jobs")
+	}
+	if !(cfg.LinkGbps > 0) {
+		return nil, fmt.Errorf("tenancy: link rate %g Gbps, want > 0", cfg.LinkGbps)
+	}
+	if !(cfg.ReconfigDelaySec >= 0) {
+		return nil, fmt.Errorf("tenancy: reconfiguration delay %gs, want >= 0", cfg.ReconfigDelaySec)
 	}
 	ordered := append([]Job(nil), jobs...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Name < ordered[j].Name })
@@ -274,7 +274,7 @@ func New(cfg Config, jobs []Job) (*CoSim, error) {
 	cs := &CoSim{Cluster: cluster, cfg: cfg, merged: commplan.NewMergedExec()}
 	cs.merged.Contend = cfg.Contend
 	var err error
-	cs.backend, err = netsim.NewWithOptions(cfg.Backend, cfg.CC, cfg.Workers, cfg.Batch)
+	cs.backend, err = netsim.New(cfg.Config)
 	if err != nil {
 		return nil, fmt.Errorf("tenancy: %w", err)
 	}
@@ -303,8 +303,7 @@ func New(cfg Config, jobs []Job) (*CoSim, error) {
 	}
 	for i, r := range rs {
 		opts := trainsim.Options{
-			GateSeed: r.job.Seed, Backend: cfg.Backend, CC: cfg.CC,
-			Workers: cfg.Workers, BatchComm: cfg.Batch, Overlap: r.job.Overlap,
+			GateSeed: r.job.Seed, Config: cfg.Config, Overlap: r.job.Overlap,
 			BaseServer: r.base, Servers: r.servers,
 		}
 		if reconf {
@@ -357,7 +356,7 @@ func (cs *CoSim) RunRound() error {
 	for i, t := range cs.Tenants {
 		cs.plans[i] = t.Engine.CommPlan()
 	}
-	if err := cs.merged.Execute(cs.Cluster.G, cs.backend, cs.plans, cs.cfg.Batch); err != nil {
+	if err := cs.merged.Execute(cs.Cluster.G, cs.backend, cs.plans); err != nil {
 		return fmt.Errorf("tenancy: merged drain: %w", err)
 	}
 	for _, t := range cs.Tenants {

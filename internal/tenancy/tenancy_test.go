@@ -6,6 +6,7 @@ import (
 
 	"mixnet/internal/failure"
 	"mixnet/internal/moe"
+	"mixnet/internal/netsim"
 	"mixnet/internal/trainsim"
 )
 
@@ -27,7 +28,7 @@ func tinyJobs() []Job {
 }
 
 func tinyConfig(backend string, workers int) Config {
-	return Config{Fabric: "mixnet", Backend: backend, Workers: workers, Batch: true, LinkGbps: 100}
+	return Config{Fabric: "mixnet", Config: netsim.Config{Backend: backend, Workers: workers}, LinkGbps: 100}
 }
 
 // digest is the bitwise fingerprint of a tenant's per-iteration stats.
@@ -52,16 +53,49 @@ func runCoSim(t *testing.T, cfg Config, jobs []Job, iters int) *CoSim {
 	return cs
 }
 
-// Disjoint-slice tenants must reproduce their solo (serial-sum) runs
-// bitwise: a merged drain on one shared pool is a scheduling optimisation,
-// not a semantic change.
+// runSerialReference is the merged drain's reference: the tenants built as
+// New builds them and run one after another, each engine's plan priced a
+// step at a time in ID order (a topological order: AddDep only points
+// backward) on a one-loop backend of cfg's kind — each simulated step by
+// one Makespan call, zero-flow steps by their Delay.
+func runSerialReference(t *testing.T, cfg Config, jobs []Job, iters int) *CoSim {
+	t.Helper()
+	cs, err := New(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := netsim.New(netsim.Config{Backend: cfg.Backend, CC: cfg.CC})
+	for _, tr := range cs.Tenants {
+		for it := 0; it < iters && err == nil; it++ {
+			err = tr.Engine.BeginIteration()
+			p := tr.Engine.CommPlan()
+			for i := 0; i < p.Len() && err == nil; i++ {
+				if s := p.Step(i); s.Phases == nil {
+					s.Makespan = s.Delay
+				} else {
+					s.Makespan, err = ref.Makespan(cs.Cluster.G, s.Phases)
+				}
+			}
+			var st trainsim.IterStats
+			if err == nil {
+				st, err = tr.Engine.FinishIteration()
+			}
+			tr.Stats = append(tr.Stats, st)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// Disjoint-slice tenants must reproduce their solo runs, priced step by
+// step, bitwise: a merged drain on one shared pool is a scheduling
+// optimisation, not a semantic change.
 func TestCoSimMatchesSerialBitwise(t *testing.T) {
 	for _, backend := range []string{"fluid", "packet"} {
 		cs := runCoSim(t, tinyConfig(backend, 2), tinyJobs(), 3)
-		serial, err := RunSerial(tinyConfig(backend, 2), tinyJobs(), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := runSerialReference(t, tinyConfig(backend, 2), tinyJobs(), 3)
 		for i, tr := range cs.Tenants {
 			if got, want := digest(t, tr.Stats), digest(t, serial.Tenants[i].Stats); got != want {
 				t.Fatalf("%s: tenant %q co-sim diverged from serial solo run:\n co-sim %s\n serial %s",
@@ -262,6 +296,17 @@ func TestCoSimValidation(t *testing.T) {
 		{ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: AutoBase},
 	}); err == nil {
 		t.Fatal("empty name accepted")
+	}
+	// A link rate that is not positive, or a negative reconfiguration delay.
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.LinkGbps = -400 },
+		func(c *Config) { c.ReconfigDelaySec = -1 },
+	} {
+		cfg := tinyConfig("fluid", 0)
+		mut(&cfg)
+		if _, err := New(cfg, tinyJobs()); err == nil {
+			t.Fatalf("link rate %g Gbps, delay %gs accepted", cfg.LinkGbps, cfg.ReconfigDelaySec)
+		}
 	}
 	// Mismatched EP-group spans on a reconfigurable fabric.
 	wide := tinyPlan

@@ -10,16 +10,42 @@ import (
 	"mixnet/internal/topo"
 )
 
-// runPair runs two engines of identical seed/model and asserts every
+// serialIteration is the engine's reference iteration: passes 1 and 3 run
+// as usual, but the plan's steps are priced one at a time in ID order — a
+// topological order, since AddDep only points backward — each simulated
+// step by one Makespan call on the engine's own backend, zero-flow steps by
+// their Delay.
+func serialIteration(e *Engine) (IterStats, error) {
+	if err := e.BeginIteration(); err != nil {
+		return IterStats{}, err
+	}
+	p := e.CommPlan()
+	for i := range p.Steps() {
+		s := p.Step(i)
+		if s.Phases == nil {
+			s.Makespan = s.Delay
+			continue
+		}
+		ms, err := e.ctx.Backend().Makespan(e.Cluster.G, s.Phases)
+		if err != nil {
+			return IterStats{}, err
+		}
+		s.Makespan = ms
+	}
+	return e.FinishIteration()
+}
+
+// runPair runs two engines of identical seed/model — serial through
+// serialIteration, batched through RunIteration — and asserts every
 // IterStats field matches exactly across n iterations.
-func runPair(t *testing.T, desc string, a, b *Engine, n int) {
+func runPair(t *testing.T, desc string, serial, batched *Engine, n int) {
 	t.Helper()
 	for it := 0; it < n; it++ {
-		sa, err := a.RunIteration()
+		sa, err := serialIteration(serial)
 		if err != nil {
 			t.Fatalf("%s: serial iter %d: %v", desc, it, err)
 		}
-		sb, err := b.RunIteration()
+		sb, err := batched.RunIteration()
 		if err != nil {
 			t.Fatalf("%s: batched iter %d: %v", desc, it, err)
 		}
@@ -30,10 +56,11 @@ func runPair(t *testing.T, desc string, a, b *Engine, n int) {
 }
 
 // TestBatchedIterationMatchesSerial is the engine-level equivalence guard:
-// with BatchComm on, every backend must reproduce the serial engine's
-// iteration stats exactly — on the reconfiguring MixNet fabric (circuits
-// detach mid-iteration, so deferred steps exercise frozen links) in block
-// and copilot mode, and at packet worker counts 1, 2 and 8.
+// frontier-batched plan execution must reproduce the serial reference's
+// iteration stats exactly on every backend — on the reconfiguring MixNet
+// fabric (circuits detach mid-iteration, so deferred steps exercise frozen
+// links) in block and copilot mode, and against packet worker counts 1, 2
+// and 8.
 func TestBatchedIterationMatchesSerial(t *testing.T) {
 	modes := []FirstA2AMode{FirstA2ABlock, FirstA2ACopilot}
 	workerCounts := []int{1, 2, 8}
@@ -44,24 +71,17 @@ func TestBatchedIterationMatchesSerial(t *testing.T) {
 		workerCounts = []int{8}
 	}
 	for _, mode := range modes {
+		mk := func(backend string, workers int) *Engine {
+			return newEngine(t, topo.FabricMixNet, Options{
+				GateSeed: 21, FirstA2A: mode, Device: ocs.NewFixedDevice(25e-3),
+				Config: netsim.Config{Backend: backend, Workers: workers},
+			})
+		}
 		for _, backend := range []string{"fluid", "analytic", "analytic-ecmp"} {
-			mk := func(batch bool) *Engine {
-				return newEngine(t, topo.FabricMixNet, Options{
-					GateSeed: 21, FirstA2A: mode, Device: ocs.NewFixedDevice(25e-3),
-					Backend: backend, BatchComm: batch,
-				})
-			}
-			runPair(t, backend+"/"+mode.String(), mk(false), mk(true), 2)
+			runPair(t, backend+"/"+mode.String(), mk(backend, 0), mk(backend, 0), 2)
 		}
 		for _, workers := range workerCounts {
-			mk := func(batch bool, w int) *Engine {
-				return newEngine(t, topo.FabricMixNet, Options{
-					GateSeed: 21, FirstA2A: mode, Device: ocs.NewFixedDevice(25e-3),
-					Backend: "packet", Workers: w, BatchComm: batch,
-				})
-			}
-			desc := mode.String()
-			runPair(t, desc, mk(false, 0), mk(true, workers), 2)
+			runPair(t, mode.String(), mk("packet", 0), mk("packet", workers), 2)
 		}
 	}
 }
@@ -72,16 +92,16 @@ func TestBatchedDPAllReduce(t *testing.T) {
 	spec := tinySpec(8)
 	plan := tinyPlan
 	plan.DP = 2
-	mk := func(batch bool) *Engine {
+	mk := func(workers int) *Engine {
 		e, err := New(tinyModel, plan, topo.BuildFatTree(spec), Options{
-			GateSeed: 4, Backend: "packet", Workers: 4, BatchComm: batch,
+			GateSeed: 4, Config: netsim.Config{Backend: "packet", Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	a, b := mk(false), mk(true)
+	a, b := mk(0), mk(4)
 	runPair(t, "dp", a, b, 2)
 	if s := b.CommPlan(); s.Makespans(commplan.KindDP) <= 0 {
 		t.Error("DP step missing from the batched plan")
@@ -90,11 +110,10 @@ func TestBatchedDPAllReduce(t *testing.T) {
 
 // TestBatchedFrontierWidth pins the concurrency structure: on MixNet every
 // layer's A2A1 and A2A2 are mutually independent once their barriers
-// resolve, so batched execution submits them as one frontier.
+// resolve, so Execute submits them as one frontier.
 func TestBatchedFrontierWidth(t *testing.T) {
 	e := newEngine(t, topo.FabricMixNet, Options{
 		GateSeed: 3, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-		Backend: "fluid", BatchComm: true,
 	})
 	if _, err := e.RunIteration(); err != nil {
 		t.Fatal(err)
@@ -123,14 +142,13 @@ func TestBatchedFrontierWidth(t *testing.T) {
 func TestBatchedPlanConcurrencyStats(t *testing.T) {
 	e := newEngine(t, topo.FabricMixNet, Options{
 		GateSeed: 9, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-		Backend: "fluid", BatchComm: true, // fluid engine: the plan is what we need
-	})
+	}) // fluid engine: the plan is what we need
 	if _, err := e.RunIteration(); err != nil {
 		t.Fatal(err)
 	}
 	part := netsim.NewPartitioner()
 	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: 16384}
+	cfg := packetsim.Config{MTU: netsim.PacketMTU}
 	g := e.Cluster.G
 	var total, globalMax, perCallSum uint64
 	jobs := 0

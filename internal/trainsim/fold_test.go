@@ -3,6 +3,7 @@ package trainsim
 import (
 	"testing"
 
+	"mixnet/internal/netsim"
 	"mixnet/internal/topo"
 )
 
@@ -21,7 +22,6 @@ func foldEngine(t *testing.T, fold bool, opts Options) *Engine {
 		t.Fatalf("Folded() = %v, want %v", c.Folded(), fold)
 	}
 	opts.GateSeed = 1
-	opts.Fold = fold
 	e, err := New(tinyModel, plan, c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -31,35 +31,34 @@ func foldEngine(t *testing.T, fold bool, opts Options) *Engine {
 
 // TestFoldedEngineByteIdentical: a training engine on a symmetry-folded
 // fat-tree must produce bitwise-identical per-iteration statistics to the
-// eager build on every backend, including the sharded packet loop with
-// batched comm plans.
+// eager build on every backend, including the sharded packet pool.
 func TestFoldedEngineByteIdentical(t *testing.T) {
-	configs := []Options{
+	configs := []netsim.Config{
 		{Backend: "fluid"},
 		{Backend: "analytic"},
 		{Backend: "analytic-ecmp"},
-		{Backend: "packet", Workers: 8, BatchComm: true},
+		{Backend: "packet", Workers: 8},
 	}
-	for _, opts := range configs {
-		if testing.Short() && opts.Backend == "packet" {
+	for _, cfg := range configs {
+		if testing.Short() && cfg.Backend == "packet" {
 			continue // 64-GPU packet runs dominate -short/-race wall time
 		}
-		eager := foldEngine(t, false, opts)
-		folded := foldEngine(t, true, opts)
+		eager := foldEngine(t, false, Options{Config: cfg})
+		folded := foldEngine(t, true, Options{Config: cfg})
 		se, err := eager.Run(2)
 		if err != nil {
-			t.Fatalf("%s eager: %v", opts.Backend, err)
+			t.Fatalf("%s eager: %v", cfg.Backend, err)
 		}
 		sf, err := folded.Run(2)
 		if err != nil {
-			t.Fatalf("%s folded: %v", opts.Backend, err)
+			t.Fatalf("%s folded: %v", cfg.Backend, err)
 		}
 		if len(se) != len(sf) {
-			t.Fatalf("%s: %d vs %d iterations", opts.Backend, len(se), len(sf))
+			t.Fatalf("%s: %d vs %d iterations", cfg.Backend, len(se), len(sf))
 		}
 		for i := range se {
 			if se[i] != sf[i] {
-				t.Errorf("%s iter %d: eager %+v folded %+v", opts.Backend, i, se[i], sf[i])
+				t.Errorf("%s iter %d: eager %+v folded %+v", cfg.Backend, i, se[i], sf[i])
 			}
 		}
 	}
@@ -70,7 +69,7 @@ func TestFoldedEngineByteIdentical(t *testing.T) {
 // reuses through CommPlan().Stats() — the steady-state compile path a
 // training loop actually pays for.
 func TestFoldedEngineCompileStats(t *testing.T) {
-	e := foldEngine(t, true, Options{Backend: "analytic"})
+	e := foldEngine(t, true, Options{Config: netsim.Config{Backend: "analytic"}})
 	if _, err := e.Run(18); err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"mixnet/internal/commplan"
+	"mixnet/internal/netsim"
 	"mixnet/internal/ocs"
 	"mixnet/internal/topo"
 )
 
 // TestOverlapNoneMatchesDefault is the byte-identity guard: Overlap "none"
-// must run the historical serial accounting path exactly, on all four
-// backends (the CI table diff covers the CLI surface; this pins the engine).
+// must run the historical serial accounting path exactly — the default
+// engine drained through the serial reference against "none" drained in
+// frontiers — on all four backends (the CI golden-table diff covers the CLI
+// surface; this pins the engine).
 func TestOverlapNoneMatchesDefault(t *testing.T) {
 	backends := []string{"fluid", "packet", "analytic", "analytic-ecmp"}
 	if testing.Short() {
@@ -20,7 +23,7 @@ func TestOverlapNoneMatchesDefault(t *testing.T) {
 		mk := func(overlap string) *Engine {
 			return newEngine(t, topo.FabricMixNet, Options{
 				GateSeed: 7, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-				Backend: backend, BatchComm: true, Overlap: overlap,
+				Config: netsim.Config{Backend: backend}, Overlap: overlap,
 			})
 		}
 		runPair(t, backend+"/none-vs-default", mk(""), mk("none"), 2)
@@ -60,7 +63,7 @@ func TestOverlapTightensSlots(t *testing.T) {
 	mk := func(ov string) *Engine {
 		return newEngine(t, topo.FabricMixNet, Options{
 			GateSeed: 11, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-			Backend: "fluid", BatchComm: true, Overlap: ov,
+			Overlap: ov,
 		})
 	}
 	res := runDisciplines(t, mk, 3)
@@ -103,7 +106,7 @@ func TestOverlapIterHidesDP(t *testing.T) {
 	plan.DP = 2
 	mk := func(ov string) *Engine {
 		e, err := New(tinyModel, plan, topo.BuildFatTree(spec), Options{
-			GateSeed: 4, Backend: "fluid", BatchComm: true, Overlap: ov,
+			GateSeed: 4, Overlap: ov,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -131,21 +134,21 @@ func TestOverlapIterHidesDP(t *testing.T) {
 }
 
 // TestOverlapIterDeterministicAcrossWorkers: the rolling window must be
-// bitwise reproducible at packet worker counts 1/2/8 and against the
-// serial (unbatched) reference.
+// bitwise reproducible at packet worker counts 1/2/8 against the serial
+// reference drain.
 func TestOverlapIterDeterministicAcrossWorkers(t *testing.T) {
 	workerCounts := []int{1, 2, 8}
 	if testing.Short() {
 		workerCounts = []int{8}
 	}
-	mk := func(batch bool, workers int) *Engine {
+	mk := func(workers int) *Engine {
 		return newEngine(t, topo.FabricMixNet, Options{
 			GateSeed: 21, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-			Backend: "packet", Workers: workers, BatchComm: batch, Overlap: "iter",
+			Config: netsim.Config{Backend: "packet", Workers: workers}, Overlap: "iter",
 		})
 	}
 	for _, w := range workerCounts {
-		runPair(t, "overlap-iter-workers", mk(false, 0), mk(true, w), 2)
+		runPair(t, "overlap-iter-workers", mk(0), mk(w), 2)
 	}
 }
 
@@ -156,7 +159,7 @@ func TestOverlapIterDeterministicAcrossWorkers(t *testing.T) {
 func TestOverlapCrossIterationWindow(t *testing.T) {
 	e := newEngine(t, topo.FabricMixNet, Options{
 		GateSeed: 5, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-		Backend: "fluid", BatchComm: true, Overlap: "iter",
+		Overlap: "iter",
 	})
 	if _, err := e.RunIteration(); err != nil {
 		t.Fatal(err)
@@ -214,18 +217,18 @@ func TestOverlapModesAndFabrics(t *testing.T) {
 		{"copilot", func(ov string) *Engine {
 			return newEngine(t, topo.FabricMixNet, Options{
 				GateSeed: 13, FirstA2A: FirstA2ACopilot, Device: ocs.NewFixedDevice(25e-3),
-				Backend: "fluid", BatchComm: true, Overlap: ov,
+				Overlap: ov,
 			})
 		}},
 		{"reuse", func(ov string) *Engine {
 			return newEngine(t, topo.FabricMixNet, Options{
 				GateSeed: 13, FirstA2A: FirstA2AReuse, Device: ocs.NewFixedDevice(25e-3),
-				Backend: "fluid", BatchComm: true, Overlap: ov,
+				Overlap: ov,
 			})
 		}},
 		{"fat-tree", func(ov string) *Engine {
 			return newEngine(t, topo.FabricFatTree, Options{
-				GateSeed: 13, Backend: "fluid", BatchComm: true, Overlap: ov,
+				GateSeed: 13, Overlap: ov,
 			})
 		}},
 	}

@@ -59,27 +59,11 @@ func (m FirstA2AMode) String() string {
 // Options configures an Engine.
 type Options struct {
 	FirstA2A FirstA2AMode
-	// Backend names the netsim substrate every collective is simulated on:
-	// "fluid" (default), "packet" or "analytic". Packet fidelity suits
-	// small configurations; analytic suits huge sweeps.
-	Backend string
-	// CC names the packet backend's congestion controller: "fixed"
-	// (default), "dcqcn" or "swift". Adaptive controllers require
-	// Backend == "packet".
-	CC string
-	// Workers bounds the packet backend's parallel event loops: each
-	// collective phase is partitioned into link-disjoint flow shards that
-	// simulate concurrently with byte-identical results. 0 or 1 keeps the
-	// serial loop; < 0 selects GOMAXPROCS. Ignored by the other backends.
-	Workers int
-	// BatchComm submits every ready frontier of the iteration's
-	// communication plan (see internal/commplan) to the backend as one
-	// batch, so independent steps — different layers' A2As, the DP
-	// all-reduce — simulate concurrently: the packet backend drains all
-	// (step, phase, shard) jobs on its Workers pool and the analytic
-	// backends run a parallel step loop. Off, the plan executes one step at
-	// a time. Results are byte-identical either way.
-	BatchComm bool
+	// Config selects the netsim substrate every collective is simulated on
+	// ("fluid" by default; packet fidelity suits small configurations,
+	// analytic suits huge sweeps), the packet backend's congestion
+	// controller and its event-loop pool size.
+	netsim.Config
 	// Device models OCS reconfiguration latency; nil means the fabric has
 	// no runtime reconfiguration (electrical fabrics, TopoOpt).
 	Device *ocs.Device
@@ -97,12 +81,6 @@ type Options struct {
 	Source IterationSource
 	// DisableDP skips the DP all-reduce simulation.
 	DisableDP bool
-	// Fold keeps a symmetry-folded cluster (topo.Spec.Fold) lazy: switches,
-	// links and servers materialize only when a collective routes through
-	// them. Off (the default), New materializes a folded cluster fully up
-	// front, so engines behave identically to the eager build. Results are
-	// byte-identical either way; folding only changes memory and build time.
-	Fold bool
 	// Overlap selects the compute/communication overlap discipline:
 	//
 	//   "none" (default) — serial accounting: every phase of a slot is
@@ -311,13 +289,13 @@ func (s IterStats) A2AFraction() float64 {
 	return s.A2A / (s.FwdStage + s.BwdStage)
 }
 
-// New builds an engine. The cluster must have exactly plan.GPUs() GPUs.
+// New builds an engine. The cluster must have exactly plan.GPUs() GPUs. A
+// symmetry-folded cluster (topo.Spec.Fold) stays lazy: servers, switches
+// and links materialize only when a collective routes through them, with
+// results byte-identical to the eager build.
 func New(m moe.Model, plan moe.TrainPlan, cluster *topo.Cluster, opts Options) (*Engine, error) {
 	if err := moe.Validate(m, plan); err != nil {
 		return nil, err
-	}
-	if !opts.Fold && cluster.Folded() {
-		cluster.MaterializeAll()
 	}
 	if opts.Servers == 0 && opts.BaseServer != 0 {
 		return nil, fmt.Errorf("trainsim: BaseServer=%d without Servers (whole-cluster placements start at 0)",
@@ -345,7 +323,7 @@ func New(m moe.Model, plan moe.TrainPlan, cluster *topo.Cluster, opts Options) (
 	if opts.Source != nil {
 		source = opts.Source
 	}
-	backend, err := netsim.NewWithOptions(opts.Backend, opts.CC, opts.Workers, opts.BatchComm)
+	backend, err := netsim.New(opts.Config)
 	if err != nil {
 		return nil, fmt.Errorf("trainsim: %w", err)
 	}
@@ -548,9 +526,8 @@ func (e *Engine) predictedDemand(l int, prevLoads []float64) *metrics.Matrix {
 //     region's circuits layer by layer) and compiles each all-to-all into a
 //     communication-plan step while its circuits are installed, recording
 //     reconfiguration barriers and penalties;
-//  2. execute — the plan simulates on the netsim backend, either one step
-//     at a time (the serial reference) or, with Options.BatchComm, whole
-//     ready frontiers per Backend.BatchMakespan call so independent layers'
+//  2. execute — the plan simulates on the netsim backend, whole ready
+//     frontiers per Backend.BatchMakespan call, so independent layers'
 //     A2As and the DP all-reduce share the worker pool;
 //  3. account — per-layer stage times combine the simulated makespans with
 //     the compute model exactly as the historical inline loop did; under an
@@ -570,7 +547,7 @@ func (e *Engine) RunIteration() (IterStats, error) {
 	if err := e.BeginIteration(); err != nil {
 		return e.pend.stats, err
 	}
-	if err := e.cplan.Execute(e.Cluster.G, e.ctx.Backend(), e.Opts.BatchComm); err != nil {
+	if err := e.cplan.Execute(e.Cluster.G, e.ctx.Backend()); err != nil {
 		e.pend.valid = false
 		return e.pend.stats, err
 	}
@@ -1031,6 +1008,9 @@ func (e *Engine) CommPlan() *commplan.Plan { return e.cplan }
 
 // Run simulates n iterations and returns their stats.
 func (e *Engine) Run(n int) ([]IterStats, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("trainsim: %d iterations", n)
+	}
 	out := make([]IterStats, 0, n)
 	for i := 0; i < n; i++ {
 		s, err := e.RunIteration()

@@ -5,6 +5,7 @@ import (
 
 	"mixnet/internal/dag"
 	"mixnet/internal/moe"
+	"mixnet/internal/netsim"
 	"mixnet/internal/ocs"
 	"mixnet/internal/topo"
 )
@@ -321,7 +322,7 @@ func TestEngineBackendsAgree(t *testing.T) {
 	for _, backend := range []string{"fluid", "packet", "analytic"} {
 		e := newEngine(t, topo.FabricMixNet, Options{
 			GateSeed: 8, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-			Backend: backend,
+			Config: netsim.Config{Backend: backend},
 		})
 		stats, err := e.Run(2)
 		if err != nil {
@@ -345,8 +346,17 @@ func TestEngineBackendsAgree(t *testing.T) {
 func TestEngineUnknownBackendRejected(t *testing.T) {
 	spec := tinySpec(4)
 	c := topo.BuildFatTree(spec)
-	if _, err := New(tinyModel, tinyPlan, c, Options{Backend: "quantum"}); err == nil {
+	if _, err := New(tinyModel, tinyPlan, c, Options{Config: netsim.Config{Backend: "quantum"}}); err == nil {
 		t.Error("unknown backend accepted")
+	}
+}
+
+// TestRunRejectsNegativeIterations: a negative count is an error, not a
+// makeslice panic.
+func TestRunRejectsNegativeIterations(t *testing.T) {
+	e := newEngine(t, topo.FabricFatTree, Options{GateSeed: 1})
+	if stats, err := e.Run(-1); err == nil {
+		t.Fatalf("Run(-1) = %v, want an error", stats)
 	}
 }
 

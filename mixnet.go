@@ -48,32 +48,27 @@ const (
 // IterationStats re-exports the per-iteration statistics.
 type IterationStats = trainsim.IterStats
 
+// Exec selects the network-simulation substrate every collective runs on:
+// Backend is "fluid" (default) for max-min flow-level simulation, "packet"
+// for htsim-style packet-level fidelity (small configurations), or
+// "analytic"/"analytic-ecmp" for the iteration-free alpha-beta bounds (huge
+// sweeps; see SimBackends). CC is the packet backend's congestion
+// controller — "fixed" (default), "dcqcn" or "swift"; adaptive controllers
+// require the packet backend (see SimCongestionControls). Workers bounds
+// the packet backend's pool of event loops, across which link-disjoint flow
+// shards of every ready communication step simulate with byte-identical
+// results: 0 or 1 runs one loop, < 0 selects GOMAXPROCS; the other
+// backends ignore it.
+type Exec = netsim.Config
+
 // SimConfig configures one training simulation.
 type SimConfig struct {
 	// Model is a registry name (see ListModels), e.g. "Mixtral 8x7B".
 	Model string
 	// Fabric selects the interconnect (default FatTree).
 	Fabric Fabric
-	// Backend selects the network-simulation substrate: "fluid" (default)
-	// for max-min flow-level simulation, "packet" for htsim-style
-	// packet-level fidelity (small configurations), or "analytic" for the
-	// iteration-free alpha-beta bound (huge sweeps). See SimBackends.
-	Backend string
-	// CC selects the packet backend's congestion controller: "fixed"
-	// (default), "dcqcn" or "swift". Adaptive controllers require
-	// Backend == "packet". See SimCongestionControls.
-	CC string
-	// Workers bounds the packet backend's parallel event loops (shards of
-	// link-disjoint flows simulate concurrently, byte-identical results).
-	// 0 or 1 = serial, < 0 = GOMAXPROCS. Ignored by the other backends.
-	Workers int
-	// Batch compiles each training iteration into a communication plan
-	// (internal/commplan) and submits ready frontiers of independent steps
-	// — different layers' all-to-alls, the DP all-reduce — to the backend
-	// as one batch, so the packet backend's Workers pool drains jobs across
-	// steps and the analytic backends run a parallel step loop. Iteration
-	// results are byte-identical with and without Batch.
-	Batch bool
+	// Exec selects the network-simulation substrate and tunes it.
+	Exec
 	// LinkGbps is the NIC line rate in Gbit/s (default 400).
 	LinkGbps float64
 	// DP scales the cluster by replicating the model (default 1).
@@ -113,33 +108,13 @@ type Result struct {
 	GPUs, Servers int
 }
 
-func (c SimConfig) withDefaults() SimConfig {
-	if c.Model == "" {
-		c.Model = moe.Mixtral8x7B.Name
-	}
-	if c.LinkGbps == 0 {
-		c.LinkGbps = 400
-	}
-	if c.DP == 0 {
-		c.DP = 1
-	}
-	if c.FirstA2A == "" {
-		c.FirstA2A = "block"
-	}
-	if c.ReconfigDelaySec == 0 {
-		c.ReconfigDelaySec = 25e-3
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 3
-	}
-	return c
-}
-
 // Simulate runs the configured training simulation. Engine construction is
 // shared with internal/scenario's runner, so a plain Simulate and a
 // scenario run of the same configuration execute on identical clusters.
 func Simulate(cfg SimConfig) (Result, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Iterations == 0 {
+		cfg.Iterations = 3 // the other defaults are scenario.Config's
+	}
 	// Reverse-lookup the fabric's registry name over sorted keys so the
 	// choice is stable if two names ever alias one kind.
 	fabrics := scenario.Fabrics()
@@ -159,9 +134,8 @@ func Simulate(cfg SimConfig) (Result, error) {
 		return Result{}, fmt.Errorf("mixnet: fabric %v not supported by Simulate", cfg.Fabric)
 	}
 	engine, err := scenario.NewEngine(scenario.Config{
-		Model: cfg.Model, Fabric: fabricName, Backend: cfg.Backend, CC: cfg.CC,
-		Workers: cfg.Workers, Batch: cfg.Batch, Fold: cfg.Fold, Overlap: cfg.Overlap,
-		LinkGbps: cfg.LinkGbps, DP: cfg.DP, Seed: cfg.Seed,
+		Model: cfg.Model, Fabric: fabricName, Config: cfg.Exec, Fold: cfg.Fold,
+		Overlap: cfg.Overlap, LinkGbps: cfg.LinkGbps, DP: cfg.DP, Seed: cfg.Seed,
 		FirstA2A: cfg.FirstA2A, ReconfigDelaySec: cfg.ReconfigDelaySec,
 	})
 	if err != nil {

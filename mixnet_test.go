@@ -156,7 +156,22 @@ func TestSimulateAnalyticBackend(t *testing.T) {
 }
 
 func TestSimulateUnknownBackend(t *testing.T) {
-	if _, err := Simulate(SimConfig{Backend: "quantum"}); err == nil {
+	if _, err := Simulate(SimConfig{Exec: Exec{Backend: "quantum"}}); err == nil {
 		t.Error("unknown backend accepted")
+	}
+}
+
+// TestSimulateRejectsMeaninglessNumbers: settings no run can mean are
+// errors — not a hung solver, a panic, or a negative iteration time.
+func TestSimulateRejectsMeaninglessNumbers(t *testing.T) {
+	for _, cfg := range []SimConfig{
+		{Fabric: MixNet, LinkGbps: -400},
+		{Fabric: MixNet, Iterations: -1},
+		{Fabric: MixNet, ReconfigDelaySec: -1},
+		{Fabric: FatTree, DP: -1},
+	} {
+		if res, err := Simulate(cfg); err == nil {
+			t.Errorf("%+v accepted: mean iteration time %v", cfg, res.MeanIterTime)
+		}
 	}
 }
