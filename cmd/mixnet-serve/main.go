@@ -38,8 +38,8 @@ func main() {
 		workers  = flag.Int("workers", 8, "max concurrently executing queries")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query execution timeout")
 		maxIdle  = flag.Int("pool-idle", 8, "max idle warm engines kept per configuration shape")
-		maxUses  = flag.Int("pool-uses", 1024, "leases before a pooled engine is retired")
-		memoCap  = flag.Int("memo-cap", 0, "shared compile-memo entries per shape (0 = package default)")
+		maxUses  = flag.Int("pool-uses", 1024, "leases before a pooled engine is retired (bounds a MixNet engine's growing link table)")
+		memoCap  = flag.Int("memo-cap", 0, "compile-memo entries per pooled engine (0 = package default)")
 		selftest = flag.Bool("selftest", false, "run the validation + load driver instead of serving")
 		benchOut = flag.String("bench-out", "BENCH_serve.json", "selftest report path")
 		window   = flag.Duration("window", time.Second, "selftest throughput window per client count")

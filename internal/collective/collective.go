@@ -33,13 +33,11 @@ type Ctx struct {
 	nextID  int
 	pairSeq map[pairKey]uint8 // per-(src,dst) rotating ECMP salt
 	backend netsim.Backend
-	memo    *Memo // this context's private compiled-phase cache; nil = disabled
-	shared  *Memo // optional cross-context cache, pinned to one graph epoch
+	memo    *Memo // compiled-phase cache; nil only in the unmemoized test oracle
 
 	// keySeq counts compiles per memo key: the salt-ring variant slot the
-	// next compile of that key reads/records. Kept on the Ctx — not the
-	// Memo — so engines sharing one Memo walk the ring in lockstep with
-	// their own pairSeq rotation.
+	// next compile of that key reads/records. It is per-run state like
+	// pairSeq, and ResetRunState rewinds both together.
 	keySeq    map[memoKey]uint32
 	memoStats MemoStats     // this context's own hit/miss/bypass counters
 	rec       *pairRecorder // active salt-draw recording, if any
@@ -77,73 +75,24 @@ func NewCtxWithBackend(c *topo.Cluster, b netsim.Backend) *Ctx {
 // Backend returns the netsim backend the context simulates on.
 func (ctx *Ctx) Backend() netsim.Backend { return ctx.backend }
 
-// SetMemo enables or disables memoized compilation (on by default).
-// Disabling drops the private cache and detaches any shared one; results
-// are byte-identical either way.
-func (ctx *Ctx) SetMemo(on bool) {
-	if on && ctx.memo == nil {
-		ctx.memo = NewMemo(0)
-	} else if !on {
-		ctx.memo = nil
-		ctx.shared = nil
-	}
-}
+// SetMemoCap rebounds the context's compile memo to n distinct keys
+// (n <= 0 selects DefaultMemoCap).
+func (ctx *Ctx) SetMemoCap(n int) { ctx.memo.SetCap(n) }
 
-// SetSharedMemo attaches a cross-context compile cache built with
-// NewSharedMemo. While the context's graph sits at the memo's pinned epoch
-// the shared cache is consulted first; once the graph diverges (circuit
-// reconfiguration, failure injection) compilations fall back to the
-// context's private memo, so local mutations never poison the shared
-// cache. Passing nil detaches. The caller must guarantee the shared memo
-// was recorded against a graph whose materialized node/link IDs match this
-// context's at the pinned epoch (identical builds of the same spec) and
-// must not attach it to lazily-folded graphs.
-func (ctx *Ctx) SetSharedMemo(m *Memo) { ctx.shared = m }
-
-// activeMemo picks the cache for the next compile: the shared memo when
-// attached and still valid for this graph, else the private one (synced to
-// the current epoch). Returns nil when memoization is disabled.
+// activeMemo syncs the compile memo to the graph's current epoch and
+// returns it, or nil when memoization is disabled.
 func (ctx *Ctx) activeMemo() *Memo {
 	if ctx.memo == nil {
 		return nil
-	}
-	//mixnet:allow shared memos are epoch-pinned by construction; comparing against the live epoch is the validity gate itself, and folded growth is excluded by the SetSharedMemo contract
-	if ctx.shared != nil && ctx.Cluster.G.Epoch() == ctx.shared.epoch {
-		return ctx.shared
 	}
 	ctx.memo.sync(ctx.Cluster.G.Epoch())
 	return ctx.memo
 }
 
-// ResyncCaches eagerly revalidates the context's epoch-stamped caches —
-// the router's route/distance caches and the private compile memo —
-// against the graph's current epoch, dropping whatever no longer matches.
-// Both caches self-invalidate lazily on use, which is sound while the
-// epoch only moves forward; after topo.Graph.RestoreEpoch rewinds it, a
-// later mutation sequence can land the graph back on a stale stamp's exact
-// value before any lazy check observes the restored epoch — the stamps
-// would then "match" and revive routes and plans recorded under different
-// link state. Callers that rewind the graph epoch (the query service's
-// engine pool) must call this immediately after. The shared memo needs no
-// resync: it is pinned to the build epoch and only ever holds entries
-// recorded there.
-func (ctx *Ctx) ResyncCaches() {
-	ctx.Router.Resync()
-	if ctx.memo != nil {
-		ctx.memo.sync(ctx.Cluster.G.Epoch())
-	}
-}
-
 // MemoStats returns this context's compile-cache hit/miss/bypass counters,
-// cumulative over its lifetime (spanning shared and private cache use).
-// Safe only from the goroutine running compilations; for cross-goroutine
-// reads use Memo.Stats on the shared memo.
-func (ctx *Ctx) MemoStats() MemoStats {
-	if ctx.memo == nil && ctx.shared == nil {
-		return MemoStats{}
-	}
-	return ctx.memoStats
-}
+// cumulative over its lifetime. Safe only from the goroutine running
+// compilations.
+func (ctx *Ctx) MemoStats() MemoStats { return ctx.memoStats }
 
 // ResetRunState rewinds the context's per-run compilation state — flow ID
 // counter, per-pair ECMP salt rotation and per-key variant-slot cursors —

@@ -31,13 +31,11 @@ import (
 // rotation means consecutive compiles of the same shape legitimately differ;
 // a ring of ecmpSpread variant slots per key captures one full rotation, so
 // steady-state iteration loops hit after the first cycle. Which slot a
-// compile lands in is the caller context's per-key compile count — per-Ctx
-// state, so two engines replaying the same workload walk the ring in
-// lockstep even when they share one Memo.
+// compile lands in is the caller context's per-key compile count, per-run
+// state that rewinds with the salt positions.
 //
-// A Memo is safe for concurrent use by multiple contexts (the long-running
-// query service shares one per engine shape) and bounded: at most cap
-// distinct keys are retained, evicted least-recently-used, so a service
+// A Memo is safe for concurrent use and bounded: at most cap distinct keys
+// are retained, evicted least-recently-used, so a long-lived engine
 // answering an open-ended query mix cannot grow compiled-plan memory
 // without bound. Entries are immutable once stored; racing recorders of the
 // same (key, slot) store byte-identical entries (compilation is
@@ -45,7 +43,6 @@ import (
 type Memo struct {
 	mu      sync.Mutex
 	epoch   uint64
-	pinned  bool // shared memos pin their epoch; sync never clears them
 	cap     int
 	entries map[memoKey]*memoVariants
 	// Intrusive LRU over the variant rings; front = most recently used.
@@ -74,25 +71,8 @@ func NewMemo(cap int) *Memo {
 	return &Memo{cap: cap, entries: make(map[memoKey]*memoVariants)}
 }
 
-// NewSharedMemo returns a bounded memo pinned to one graph epoch, for
-// sharing across engines built from the same topology spec: identical
-// builds materialize identical node/link IDs at the same epoch, so a plan
-// recorded on one engine's graph replays exactly on another's. A context
-// whose graph has left the pinned epoch (circuit reconfiguration, failure
-// injection) bypasses the shared memo instead of clearing it, so one
-// query's mutations never poison the cache other queries are hitting. Do
-// not share across lazily-folded graphs: a recorded route may reference
-// links another engine has not materialized yet.
-func NewSharedMemo(cap int, epoch uint64) *Memo {
-	m := NewMemo(cap)
-	m.epoch = epoch
-	m.pinned = true
-	return m
-}
-
 // Stats returns the cumulative hit/miss/bypass counters. Safe to call
-// concurrently with compilations (the long-running service reads them from
-// monitoring goroutines).
+// concurrently with compilations.
 func (m *Memo) Stats() MemoStats {
 	return MemoStats{
 		Hits:     m.hits.Load(),
@@ -184,14 +164,12 @@ func (r *pairRecorder) note(k pairKey, start uint8) {
 
 // sync drops every entry when the topology changed: recorded routes are
 // only valid within one graph epoch. (Folded-graph growth does not bump the
-// epoch and does not invalidate routes, so it keeps the cache.) Pinned
-// (shared) memos are exempt: their users bypass them instead, see
-// Ctx.activeMemo.
+// epoch and does not invalidate routes, so it keeps the cache.)
 //
 //mixnet:noalloc
 func (m *Memo) sync(epoch uint64) {
 	//mixnet:allow memo entries store link IDs and node IDs, never storage slots, so growth-only materialization cannot stale them
-	if m.pinned || m.epoch == epoch {
+	if m.epoch == epoch {
 		return
 	}
 	m.mu.Lock()
@@ -336,8 +314,7 @@ func hierShape(servers []int, gatewayGPU int, bytes float64) uint64 {
 // memoized wraps one compile in cache lookup/record. With memoization
 // disabled, or while already recording an outer compile (the outer record
 // captures the nested draws), it compiles directly. The variant-slot cursor
-// is per-context (ctx.keySeq), so engines sharing a Memo walk their salt
-// rings independently and in lockstep with their own pairSeq state.
+// (ctx.keySeq) advances in lockstep with the context's pairSeq state.
 func memoized(ctx *Ctx, kind uint8, shape uint64, compile func() (Phases, error)) (Phases, error) {
 	m := ctx.activeMemo()
 	if m == nil || ctx.rec != nil {

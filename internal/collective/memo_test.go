@@ -1,12 +1,18 @@
 package collective
 
 import (
-	"sync"
 	"testing"
 
 	"mixnet/internal/metrics"
 	"mixnet/internal/topo"
 )
+
+// unmemoized drops ctx's compile memo, making it the reference compiler
+// the memoized one must match flow for flow.
+func unmemoized(ctx *Ctx) *Ctx {
+	ctx.memo = nil
+	return ctx
+}
 
 // memoWorkload compiles an interleaved mix of direct all-to-alls and
 // hierarchical all-reduces — rounds times each, same shapes every round,
@@ -14,16 +20,6 @@ import (
 // compile order.
 func memoWorkload(t *testing.T, ctx *Ctx, rounds int) []Phases {
 	t.Helper()
-	out, err := memoWorkloadErr(ctx, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// memoWorkloadErr is the goroutine-safe form (no t.Fatal off the test
-// goroutine) for the concurrency suites.
-func memoWorkloadErr(ctx *Ctx, rounds int) ([]Phases, error) {
 	c := ctx.Cluster
 	leaders := []topo.NodeID{c.GPU(0, 0), c.GPU(1, 0), c.GPU(2, 0), c.GPU(3, 0)}
 	demand := metrics.NewMatrix(4, 4)
@@ -38,16 +34,16 @@ func memoWorkloadErr(ctx *Ctx, rounds int) ([]Phases, error) {
 	for k := 0; k < rounds; k++ {
 		p, err := DirectAllToAll(ctx, leaders, demand)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 		out = append(out, p)
 		p, err = HierarchicalAllReduce(ctx, []int{0, 1, 2, 3}, 0, 5e8)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 		out = append(out, p)
 	}
-	return out, nil
+	return out
 }
 
 // requirePhasesEqual compares two compiled workloads flow by flow.
@@ -104,8 +100,7 @@ func TestMemoizedCompilationDeterministic(t *testing.T) {
 		ref := memoWorkload(t, memoCtx, rounds)
 
 		spec.Fold = false
-		plainCtx := NewCtx(topo.BuildFatTree(spec))
-		plainCtx.SetMemo(false)
+		plainCtx := unmemoized(NewCtx(topo.BuildFatTree(spec)))
 		requirePhasesEqual(t, ref, memoWorkload(t, plainCtx, rounds))
 
 		ms := memoCtx.MemoStats()
@@ -130,8 +125,7 @@ func TestMemoLRUBound(t *testing.T) {
 	ctx.memo.SetCap(1) // one shape's variants at a time; the other evicts it
 	got := memoWorkload(t, ctx, ecmpSpread+8)
 
-	plain := fatTreeCtx(t, 8)
-	plain.SetMemo(false)
+	plain := unmemoized(fatTreeCtx(t, 8))
 	requirePhasesEqual(t, got, memoWorkload(t, plain, ecmpSpread+8))
 
 	if n := ctx.memo.Len(); n > 1 {
@@ -149,58 +143,6 @@ func TestMemoLRUBound(t *testing.T) {
 	memoWorkload(t, ctx, ecmpSpread+1)
 	if ctx.MemoStats().Hits == before {
 		t.Error("no hits after raising the cap")
-	}
-}
-
-// TestSharedMemoConcurrent: contexts over identical builds sharing one
-// pinned memo must each produce byte-identical output to an unmemoized
-// serial run, from concurrent goroutines (run under -race), and the
-// shared cache must serve cross-context hits.
-func TestSharedMemoConcurrent(t *testing.T) {
-	t.Parallel()
-	const goroutines = 4
-	const rounds = 6
-
-	ref := func() []Phases {
-		ctx := fatTreeCtx(t, 8)
-		ctx.SetMemo(false)
-		return memoWorkload(t, ctx, rounds)
-	}()
-
-	ctxs := make([]*Ctx, goroutines)
-	for i := range ctxs {
-		ctxs[i] = fatTreeCtx(t, 8)
-	}
-	epoch := ctxs[0].Cluster.G.Epoch()
-	for _, ctx := range ctxs[1:] {
-		if e := ctx.Cluster.G.Epoch(); e != epoch {
-			t.Fatalf("identical builds diverge in epoch: %d vs %d", e, epoch)
-		}
-	}
-	shared := NewSharedMemo(0, epoch)
-	for _, ctx := range ctxs {
-		ctx.SetSharedMemo(shared)
-	}
-
-	results := make([][]Phases, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	for i := range ctxs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = memoWorkloadErr(ctxs[i], rounds)
-		}(i)
-	}
-	wg.Wait()
-	for i, got := range results {
-		if errs[i] != nil {
-			t.Fatalf("goroutine %d: %v", i, errs[i])
-		}
-		requirePhasesEqual(t, got, ref)
-	}
-	if st := shared.Stats(); st.Hits == 0 {
-		t.Errorf("no cross-context hits on the shared memo: %+v", st)
 	}
 }
 

@@ -131,7 +131,8 @@ func determinismMix(iters int) []query {
 // mix at the service — pool sizes 1, 2 and 8 — and every response must be
 // byte-identical to the serial single-engine answer, no matter which warm
 // engine served it or what ran before on that engine. Run under -race in
-// CI; the shared memo, pool and baseline cache are all exercised.
+// CI; the pool, the engines' compile memos and the baseline cache are all
+// exercised.
 func TestConcurrentQueryDeterminism(t *testing.T) {
 	const iters = 2
 	mix := determinismMix(iters)
@@ -197,10 +198,10 @@ func (e *mismatchError) Error() string {
 }
 
 // TestDrillRestoreThenReuse: an engine that served a failure drill must
-// come back byte-identical — the pool verifies route/table state (hash,
-// link counters) before reuse and the next clean query must match the
-// pre-drill answer exactly. This is the regression test for pooled-engine
-// reuse after failure injection.
+// come back byte-identical — the pool verifies the graph's state hash
+// before reuse and the next clean query must match the pre-drill answer
+// exactly. This is the regression test for pooled-engine reuse after
+// failure injection.
 func TestDrillRestoreThenReuse(t *testing.T) {
 	t.Parallel()
 	pool := NewPool(1, 0, 0)
@@ -229,9 +230,9 @@ func TestDrillRestoreThenReuse(t *testing.T) {
 	baseline := runClean(nil)
 
 	// Drill on the pooled engine: inject, run, restore, release. The NIC
-	// drill downs a real link, so release must prove the flag round-trip
-	// (StateHash + counters) and rewind the epoch — the verified-restore
-	// path, not a lucky no-op.
+	// drill downs a real link, so the epoch moves and release must prove
+	// the flag round-trip with StateHash — the verified-restore path, not
+	// a lucky no-op.
 	inj, ok := scenario.DrillInjector(scenario.FailNIC)
 	if !ok {
 		t.Fatal("fail-nic is not a drill")
@@ -262,7 +263,11 @@ func TestDrillRestoreThenReuse(t *testing.T) {
 	}
 
 	// The same engine must now answer the clean query exactly as before.
+	// That lease leaves the graph alone, so it is no restore.
 	runClean(baseline)
+	if got := pool.Stats().Restores; got != st.Restores {
+		t.Fatalf("clean lease after a drill counted as a restore: %d -> %d", st.Restores, got)
+	}
 
 	// Counter-case: an unrestored injection must be caught and evicted.
 	lease, err = pool.Acquire(cfg)
@@ -286,17 +291,15 @@ func TestDrillRestoreThenReuse(t *testing.T) {
 	lease.Evict()
 }
 
-// TestDifferentDrillAfterRestore: the epoch-collision regression. Release
-// rewinds a verified-restored drill engine's graph to the build epoch,
-// which leaves the engine's epoch-stamped caches (drill-time routes, the
-// private compile memo) stamped *ahead* of the graph. A second, different
-// drill that performs the same number of epoch bumps — here: downing the
-// same number of NIC links on a different server — lands the graph back on
-// exactly the stale stamp's value, so without the post-rewind resync the
-// lazy epoch checks "match" and the run replays routes that avoid the
-// first drill's downed links while sending traffic over the second
-// drill's. The pooled second drill must stay byte-identical to a fresh
-// engine running the same drill.
+// TestDifferentDrillAfterRestore: the epoch-collision regression. The
+// engine's route cache and compile memo are stamped with the graph epoch
+// of each drill. A second, different drill that performs the same number
+// of epoch bumps — here: downing the same number of NIC links on a
+// different server — would replay the first drill's routes, which avoid
+// the wrong links, if the epoch could ever land on a stamp again (it did
+// when the pool rewound restored engines to the build epoch). The pooled
+// second drill must stay byte-identical to a fresh engine running the
+// same drill.
 func TestDifferentDrillAfterRestore(t *testing.T) {
 	t.Parallel()
 	cfg := scenario.Config{Fabric: "fat-tree", Iterations: 2, Seed: 1}.WithDefaults()
@@ -349,10 +352,10 @@ func TestDifferentDrillAfterRestore(t *testing.T) {
 // TestComposedDrillAfterNICDrill: serve-level epoch-collision coverage.
 // The fail-server+fail-nic drill downs the same number of links as the
 // fail-nic drill that preceded it on the same pooled engine (fail-server
-// remaps GPUs without touching links), so the graph lands back on the
-// first drill's epoch value; before the post-restore resync this exact
-// query sequence replayed stale routes over the second drill's downed
-// links. The served result must match the batch runner byte for byte.
+// remaps GPUs without touching links); when the pool rewound the epoch,
+// this exact query sequence replayed stale routes over the second drill's
+// downed links. The served result must match the batch runner byte for
+// byte.
 func TestComposedDrillAfterNICDrill(t *testing.T) {
 	t.Parallel()
 	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
@@ -379,6 +382,55 @@ func TestComposedDrillAfterNICDrill(t *testing.T) {
 	wb, _ := json.Marshal(want)
 	if !bytes.Equal(gb, wb) {
 		t.Fatalf("served drill diverged from scenario.Run:\n got %s\nwant %s", gb, wb)
+	}
+}
+
+// TestWarmMixNetMatchesLibrary: a MixNet engine retargets its circuits
+// every iteration, so every lease moves its graph epoch and grows its link
+// table, and it is pooled again only through the state-hash check. One
+// pooled engine answers several seeds and then two drills; every answer
+// must match mixnet.Simulate / scenario.Run on fresh engines byte for byte.
+func TestWarmMixNetMatchesLibrary(t *testing.T) {
+	t.Parallel()
+	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+	c, done := testClient(t, srv)
+	defer done()
+
+	queries := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		q := QueryConfig{Fabric: "mixnet", Iterations: 2, Seed: seed}
+		want, err := simulateDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, _ := json.Marshal(want)
+		got, _, err := c.post("/v1/iter", q)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		queries++
+		if !bytes.Equal(got, wb) {
+			t.Fatalf("seed %d: served %s\nlibrary %s", seed, got, wb)
+		}
+	}
+	for _, sc := range []string{scenario.FailNIC, scenario.FailServer} {
+		q := failureQuery{QueryConfig: QueryConfig{Fabric: "mixnet", Iterations: 2, Seed: 4}, Scenario: sc}
+		want, err := runScenarioDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := c.post("/v1/failure", q)
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		queries++
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: served %s\nscenario.Run %s", sc, got, want)
+		}
+	}
+	st := srv.Pool().Stats()
+	if st.Hits < uint64(queries-1) || st.Restores == 0 {
+		t.Fatalf("MixNet engine not reused through the hash check over %d queries: %+v", queries, st)
 	}
 }
 
@@ -438,7 +490,8 @@ func TestBaselineCacheBoundAndRetry(t *testing.T) {
 
 // TestResultCache: a fully identical query replays the stored response
 // byte-identically with meta marked cached; differently spelled defaults
-// share the entry; no_cache bypasses replay but still matches bitwise.
+// share the entry; no_cache bypasses replay, runs a warm engine and still
+// matches bitwise.
 func TestResultCache(t *testing.T) {
 	t.Parallel()
 	srv := New(Options{Pool: NewPool(2, 0, 0), Workers: 2})
@@ -485,6 +538,11 @@ func TestResultCache(t *testing.T) {
 	}
 	if !bytes.Equal(fresh, cold) {
 		t.Fatal("no_cache rerun diverged from the cached result")
+	}
+	// The memo counters sum every lease: the cold run compiled, the warm
+	// rerun replayed.
+	if ms := srv.StatsSnapshot().Memo; ms.Misses == 0 || ms.Hits == 0 {
+		t.Fatalf("memo counters after a cold and a warm engine run: %+v", ms)
 	}
 	// Failure drills cache too, keyed by scenario.
 	fq := failureQuery{QueryConfig: q, Scenario: scenario.FailNIC}

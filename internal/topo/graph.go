@@ -132,20 +132,14 @@ type Graph struct {
 	blockCount int32
 	blockRep   int32
 	dirtySrv   map[int32]struct{}
-
-	// nDetached counts links torn down by reconfiguration (Detached flag).
-	// Together with NumLinks it witnesses adjacency stability: a graph whose
-	// link count and detach count both match a snapshot has had no adjacency
-	// surgery since (SetLinkUp flips flags only), so its adjacency — and
-	// therefore its ECMP candidate order — is bit-for-bit the snapshot's.
-	nDetached int
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{blockRep: -1} }
 
-// Epoch returns a counter that changes whenever the graph is mutated.
-// Route caches key on it.
+// Epoch returns a counter that increases on every mutation and never
+// decreases, so a cache stamped with any earlier value is stale. Route
+// caches and compile memos key on it and invalidate lazily on mismatch.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // Growth returns a counter that changes whenever a folded graph
@@ -396,14 +390,9 @@ func (g *Graph) detachLink(id LinkID) {
 	g.out[fi] = removeLinkID(g.out[fi], id)
 	g.in[ti] = removeLinkID(g.in[ti], id)
 	l.Detached = true
-	g.nDetached++
 	g.markDirty(l.From)
 	g.markDirty(l.To)
 }
-
-// DetachedLinks returns how many links reconfiguration has torn down over
-// the graph's lifetime (they stay allocated; IDs are never reused).
-func (g *Graph) DetachedLinks() int { return g.nDetached }
 
 func removeLinkID(s []LinkID, id LinkID) []LinkID {
 	for i, v := range s {
@@ -444,9 +433,7 @@ func (g *Graph) CountLinks() int {
 // commutative sum, so neither storage order nor link IDs contribute — a
 // circuit torn down and reinstalled between the same endpoints (which
 // allocates fresh IDs) hashes identically to the original. Callers use it
-// to verify that a mutated graph has been restored to a snapshot's state:
-// equal hashes plus unchanged NumLinks and DetachedLinks counters witness
-// full restoration including adjacency order (see nDetached).
+// to verify that a mutated graph has been restored to a snapshot's state.
 //
 //mixnet:noalloc
 func (g *Graph) StateHash() uint64 {
@@ -471,24 +458,6 @@ func (g *Graph) StateHash() uint64 {
 	}
 	return hash64(h ^ sum)
 }
-
-// RestoreEpoch rewinds the epoch counter to a previously observed value
-// after the caller has proven — StateHash equality against a snapshot
-// taken at that epoch, plus unchanged NumLinks/DetachedLinks — that every
-// intervening mutation has been exactly unwound. Epoch-keyed caches
-// (routes, compiled collectives, comm plans) recorded at that epoch become
-// valid again, which is the point: a pooled engine whose failure drill was
-// fully reversed gets its warm caches back instead of recomputing them.
-// Calling this without state equality poisons every epoch-keyed cache.
-//
-// The rewind leaves caches stamped *between* the restored and the current
-// epoch with stamps ahead of the counter, and their lazy epoch-equality
-// checks cannot detect that: a later mutation sequence of the same length
-// lands the graph back on exactly such a stamp, "matching" it and reviving
-// entries recorded under different link state. The caller must therefore
-// eagerly resync every epoch-stamped cache over this graph right after the
-// rewind (BFSRouter.Resync, collective.Ctx.ResyncCaches).
-func (g *Graph) RestoreEpoch(epoch uint64) { g.epoch = epoch }
 
 // beginFolded switches the graph to folded (slot-indirected) storage with a
 // logical ID space of nNodes/nLinks, all initially unmaterialized.

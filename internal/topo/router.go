@@ -100,16 +100,6 @@ func (r *BFSRouter) Invalidate() {
 	r.live = 0
 }
 
-// Resync eagerly revalidates the caches against the graph's current epoch,
-// dropping them on mismatch. Route and DistanceField do this lazily on
-// every call, which is sound while the epoch only moves forward; after
-// Graph.RestoreEpoch rewinds it, a later mutation sequence can land the
-// graph back on this router's stamped value before any lazy check runs,
-// reviving routes recorded under different link state (e.g. a previous
-// failure drill's downed links). Callers that rewind the epoch must Resync
-// every router over the graph immediately after.
-func (r *BFSRouter) Resync() { r.sync() }
-
 // sync invalidates the caches when the graph was mutated.
 func (r *BFSRouter) sync() {
 	//mixnet:allow growth is covered per entry: distEntry carries its own growth stamp and reach/DistanceField restart it when it is stale

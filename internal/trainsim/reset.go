@@ -10,13 +10,15 @@ import (
 
 // Engine reuse for the long-running query service (cmd/mixnet-serve): a
 // warm engine skips topology construction and placement entirely, and —
-// when its graph still sits at the build epoch — replays cached routes and
-// memoized collective compilations from earlier queries. PrepareRun rewinds
-// exactly the per-run state (gate randomness, flow/salt counters, overlap
-// window) so a reused engine's results are byte-identical to a freshly
-// built one's; the pool layer separately restores and verifies graph state
-// (circuits, failure unwind) with topo.Cluster.ResetCircuits and
-// topo.Graph.StateHash.
+// while its graph epoch has not moved since they were recorded — replays
+// cached routes and memoized collective compilations from earlier queries.
+// The epoch only increases, so any mutation (a failure drill, a circuit
+// retarget, their reversal) retires those caches lazily and they rebuild
+// on demand. PrepareRun rewinds exactly the per-run state (gate
+// randomness, flow/salt counters, overlap window) so a reused engine's
+// results are byte-identical to a freshly built one's; the pool layer
+// separately restores and verifies graph state (circuits, failure unwind)
+// with topo.Cluster.ResetCircuits and topo.Graph.StateHash.
 
 // Pristine reports whether the engine carries no failure or override state:
 // no GPU/server remaps, no TP-over-EPS charges, and no servers excluded
@@ -75,31 +77,9 @@ func (e *Engine) PrepareRun(gateSeed int64) error {
 	return nil
 }
 
-// AttachSharedMemo points the engine's collective compilations at a
-// cross-engine compile cache (collective.NewSharedMemo), so a warm query
-// replays plans another engine of the same shape recorded. The shared memo
-// is consulted only while the graph sits at the memo's pinned epoch; see
-// collective.Ctx.SetSharedMemo for the contract. Errors on incompletely
-// materialized folded clusters: a replayed plan may reference links this
-// engine has not materialized, and replay skips the routing that would
-// materialize them.
-func (e *Engine) AttachSharedMemo(m *collective.Memo) error {
-	if m != nil && e.Cluster.Folded() && e.Cluster.MaterializedServers() != e.Cluster.NumServers() {
-		return errors.New("trainsim: shared memo on a partially materialized folded cluster")
-	}
-	e.ctx.SetSharedMemo(m)
-	return nil
-}
-
-// ResyncCaches drops the engine's epoch-stamped caches — cached routes and
-// the private compile memo — when their stamps no longer match the graph's
-// epoch (collective.Ctx.ResyncCaches). The pool calls this immediately
-// after topo.Graph.RestoreEpoch rewinds a verified-restored engine: the
-// rewind leaves drill-time cache stamps *ahead* of the graph, and a later
-// drill with the same number of epoch bumps would otherwise land the graph
-// back on exactly those values, silently reviving routes recorded under
-// the earlier drill's downed links.
-func (e *Engine) ResyncCaches() { e.ctx.ResyncCaches() }
+// SetMemoCap bounds the engine's collective compile memo to n distinct
+// keys (n <= 0 selects collective.DefaultMemoCap).
+func (e *Engine) SetMemoCap(n int) { e.ctx.SetMemoCap(n) }
 
 // MemoStats returns the engine's cumulative compile-cache counters (hits
 // prove a query skipped compilation). Safe only between runs — the
