@@ -8,11 +8,10 @@
 //	mixnet-bench -list           # available experiment ids
 //	mixnet-bench -par 8          # worker-pool width (default GOMAXPROCS)
 //	mixnet-bench -workers 8      # packet-backend shard parallelism
-//	mixnet-bench -fold           # symmetry-folded topology builds (byte-identical)
 //	mixnet-bench -overlap iter   # compute/comm overlap + cross-iteration pipelining
 //	mixnet-bench -json           # also write BENCH_<scale>.json
 //	mixnet-bench -sweep          # every backend, one combined fidelity report
-//	mixnet-bench -scale large    # analytic backends at 8k-256k GPUs -> BENCH_large_ecmp.json
+//	mixnet-bench -scale large    # folded (and ≤32k eager reference) builds at 8k-256k GPUs -> BENCH_large_ecmp.json
 //	mixnet-bench -tenants 2      # co-scheduled jobs on one shared fabric -> BENCH_tenancy.json
 //
 // Experiments run concurrently on a worker pool; output order and table
@@ -42,7 +41,6 @@ type benchReport struct {
 	CC           string            `json:"cc,omitempty"`
 	Workers      int               `json:"workers"`
 	SimWorkers   int               `json:"sim_workers,omitempty"`
-	Fold         bool              `json:"fold,omitempty"`
 	Overlap      string            `json:"overlap,omitempty"`
 	TotalSeconds float64           `json:"total_seconds"`
 	Experiments  []benchExperiment `json:"experiments"`
@@ -90,7 +88,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		par        = flag.Int("par", 0, "worker-pool width across experiments (0 = GOMAXPROCS)")
 		simWorkers = flag.Int("workers", 0, "packet-backend event loops per engine (0/1 = one loop, -1 = GOMAXPROCS; byte-identical results)")
-		foldFlag   = flag.Bool("fold", false, "build 3-tier electrical fabrics symmetry-folded (lazy pods/servers, byte-identical results)")
 		overlap    = flag.String("overlap", "", "compute/communication overlap discipline: none (default) | layer | iter")
 		scaleFlag  = flag.String("scale", "", "large: quantify the analytic backends at 8k-256k GPU scale and write BENCH_large_ecmp.json")
 		tenants    = flag.Int("tenants", 0, "co-schedule N training jobs on one shared fabric and write BENCH_tenancy.json (>= 2)")
@@ -111,8 +108,8 @@ func main() {
 		scale, scaleName = experiments.Full, "full"
 	}
 	defaults := experiments.Defaults{
-		Exec: netsim.Config{Backend: *backend, CC: *cc, Workers: *simWorkers},
-		Fold: *foldFlag, Overlap: *overlap,
+		Exec:    netsim.Config{Backend: *backend, CC: *cc, Workers: *simWorkers},
+		Overlap: *overlap,
 	}
 	if err := experiments.SetDefaults(defaults); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -161,7 +158,7 @@ func main() {
 
 	report := benchReport{
 		Scale: scaleName, Backend: defaults.Exec.BackendName(), CC: *cc,
-		Workers: workers, SimWorkers: *simWorkers, Fold: *foldFlag,
+		Workers: workers, SimWorkers: *simWorkers,
 	}
 	if *overlap != "none" {
 		report.Overlap = *overlap

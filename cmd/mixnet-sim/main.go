@@ -8,7 +8,7 @@
 //	mixnet-sim -backend packet -workers 8            # sharded packet fidelity
 //	mixnet-sim -overlap iter                         # overlap compute/comm, pipeline across iterations
 //	mixnet-sim -scenario trace -backend packet       # trace replay at packet fidelity
-//	mixnet-sim -fabric fat-tree -fold                # symmetry-folded topology build
+//	mixnet-sim -fabric fat-tree -dp 9                # three tiers: always built symmetry-folded
 //	mixnet-sim -scenario fail-nic+fail-gpu           # composed multi-failure drill
 //	mixnet-sim -scenario matrix -backends fluid,packet,analytic
 //	mixnet-sim -tenants 2 -contend                   # co-scheduled jobs, shared-link contention priced
@@ -35,7 +35,6 @@ func main() {
 		backend  = flag.String("backend", "fluid", "network simulation backend: fluid | packet | analytic | analytic-ecmp")
 		cc       = flag.String("cc", "", "packet-backend congestion control: fixed | dcqcn | swift")
 		workers  = flag.Int("workers", 0, "packet-backend event loops shared by the shards of every ready communication step (0/1 = one loop, -1 = GOMAXPROCS; byte-identical results)")
-		fold     = flag.Bool("fold", false, "build 3-tier electrical fabrics symmetry-folded: identical pods/servers materialize lazily (byte-identical results)")
 		overlap  = flag.String("overlap", "", "compute/communication overlap discipline: none (default, serial accounting) | layer (hide collectives under the next layer's compute) | iter (also pipeline across iteration boundaries)")
 		gbps     = flag.Float64("gbps", 400, "NIC line rate in Gbit/s")
 		dp       = flag.Int("dp", 1, "data-parallel replicas")
@@ -72,7 +71,7 @@ func main() {
 	if *scen != "" {
 		runScenario(*scen, *backends, scenario.Config{
 			Model: *model, Fabric: strings.ToLower(*fabric), Config: exec,
-			Fold: *fold, Overlap: *overlap, LinkGbps: *gbps, DP: *dp,
+			Overlap: *overlap, LinkGbps: *gbps, DP: *dp,
 			Iterations: *iters, Seed: *seed, FirstA2A: *mode,
 			ReconfigDelaySec: *delay / 1e3,
 		})
@@ -85,7 +84,7 @@ func main() {
 	}
 	res, err := mixnet.Simulate(mixnet.SimConfig{
 		Model: *model, Fabric: kind, Exec: exec,
-		Fold: *fold, Overlap: *overlap, LinkGbps: *gbps, DP: *dp,
+		Overlap: *overlap, LinkGbps: *gbps, DP: *dp,
 		FirstA2A: *mode, ReconfigDelaySec: *delay / 1e3,
 		Iterations: *iters, Seed: *seed,
 	})

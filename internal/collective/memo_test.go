@@ -95,11 +95,11 @@ func TestMemoizedCompilationDeterministic(t *testing.T) {
 	for _, fold := range []bool{false, true} {
 		spec := topo.DefaultSpec(8, 100*topo.Gbps)
 		spec.SwitchRadix = 8 // 3-tier, so fold is real
-		spec.Fold = fold
+		spec.Eager = !fold
 		memoCtx := NewCtx(topo.BuildFatTree(spec))
 		ref := memoWorkload(t, memoCtx, rounds)
 
-		spec.Fold = false
+		spec.Eager = true
 		plainCtx := unmemoized(NewCtx(topo.BuildFatTree(spec)))
 		requirePhasesEqual(t, ref, memoWorkload(t, plainCtx, rounds))
 

@@ -120,8 +120,11 @@ func Compute(bom topo.BOM, prices Prices, opt LinkOption) Breakdown {
 }
 
 // FabricCost builds the named fabric at the given scale and prices it.
-// servers is the cluster size in 8-GPU hosts.
+// servers is the cluster size in 8-GPU hosts, at least one.
 func FabricCost(kind topo.FabricKind, servers, gbps int, opt LinkOption) (Breakdown, error) {
+	if servers < 1 {
+		return Breakdown{}, fmt.Errorf("cost: %d servers, want at least 1", servers)
+	}
 	prices, err := PricesFor(gbps)
 	if err != nil {
 		return Breakdown{}, err

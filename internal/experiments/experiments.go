@@ -26,10 +26,6 @@ type Defaults struct {
 	// experiments, Exec.Workers the flow shards inside one packet-level
 	// simulation.
 	Exec netsim.Config
-	// Fold builds every experiment cluster symmetry-folded (topo.Spec.Fold).
-	// Results are byte-identical either way; folding only changes memory
-	// and build time.
-	Fold bool
 	// Overlap is the compute/communication overlap discipline
 	// (trainsim.Options.Overlap); "" and "none" keep the historical serial
 	// accounting.
@@ -144,7 +140,6 @@ func buildCluster(kind topo.FabricKind, servers int, gbps float64, plan moe.Trai
 	spec := topo.DefaultSpec(servers, gbps)
 	spec.SwitchRadix = 16
 	spec.RegionServers = parallel.RegionServersPerEPGroup(plan, spec.GPUsPerServer)
-	spec.Fold = defaults.Fold
 	switch kind {
 	case topo.FabricOverSubFatTree:
 		spec.Oversub = 3

@@ -25,9 +25,10 @@ type LargeEcmpRow struct {
 	GPUs    int `json:"gpus"`
 	Servers int `json:"servers"`
 	Flows   int `json:"flows"`
-	// Folded records whether the cluster was built symmetry-folded
-	// (topo.Spec.Fold); FoldFactor is total servers / materialized servers
-	// after the compile touched its participants (1 for eager builds).
+	// Folded records the build mode: the default symmetry-folded build, or
+	// false for the topo.Spec.Eager reference; FoldFactor is total servers /
+	// materialized servers after the compile touched its participants (1
+	// for eager builds).
 	Folded     bool    `json:"folded"`
 	FoldFactor float64 `json:"fold_factor"`
 	// BuildSec is the topology construction time; CompileSec the cold
@@ -97,7 +98,7 @@ func LargeScaleEcmp(gpuScales []int, participants int, bytesPerFlow float64) (Ta
 		}
 		var eager *LargeEcmpRow
 		if gpus <= maxEagerGPUs {
-			r, err := largePoint(gpus, participants, bytesPerFlow, false)
+			r, err := largePoint(gpus, participants, bytesPerFlow, true)
 			if err != nil {
 				return t, rows, err
 			}
@@ -105,7 +106,7 @@ func LargeScaleEcmp(gpuScales []int, participants int, bytesPerFlow float64) (Ta
 			t.Rows = append(t.Rows, r.tableRow())
 			eager = &r
 		}
-		r, err := largePoint(gpus, participants, bytesPerFlow, true)
+		r, err := largePoint(gpus, participants, bytesPerFlow, false)
 		if err != nil {
 			return t, rows, err
 		}
@@ -160,8 +161,9 @@ func liveHeap(base uint64) uint64 {
 	return m.HeapAlloc - base
 }
 
-// largePoint measures one (scale, build mode) bench point.
-func largePoint(gpus, participants int, bytesPerFlow float64, fold bool) (LargeEcmpRow, error) {
+// largePoint measures one (scale, build mode) bench point; eager selects
+// the reference build over the default symmetry-folded one.
+func largePoint(gpus, participants int, bytesPerFlow float64, eager bool) (LargeEcmpRow, error) {
 	servers := gpus / 8
 	wall := time.Now()
 	runtime.GC()
@@ -170,7 +172,7 @@ func largePoint(gpus, participants int, bytesPerFlow float64, fold bool) (LargeE
 	base := m0.HeapAlloc
 
 	spec := topo.DefaultSpec(servers, 400*topo.Gbps)
-	spec.Fold = fold
+	spec.Eager = eager
 	t0 := time.Now()
 	c := topo.BuildFatTree(spec)
 	buildSec := time.Since(t0).Seconds()
@@ -224,7 +226,7 @@ func largePoint(gpus, participants int, bytesPerFlow float64, fold bool) (LargeE
 
 	row := LargeEcmpRow{
 		GPUs: gpus, Servers: servers, Flows: flows,
-		Folded: fold, FoldFactor: c.FoldFactor(),
+		Folded: !eager, FoldFactor: c.FoldFactor(),
 		BuildSec: buildSec, CompileSec: compileSec, MemoReplaySec: memoSec,
 		PeakHeapBytes: peakHeap,
 	}

@@ -16,7 +16,7 @@ func foldDrillEngine(fold bool) (*trainsim.Engine, error) {
 	plan.DP = 4
 	spec := testSpec(16)
 	spec.SwitchRadix = 8
-	spec.Fold = fold
+	spec.Eager = !fold
 	c := topo.BuildFatTree(spec)
 	return trainsim.New(testModel, plan, c, trainsim.Options{
 		GateSeed: 1, Config: netsim.Config{Backend: "analytic"},

@@ -15,9 +15,9 @@ func foldedPair(t *testing.T) (eager, folded *topo.Cluster) {
 	t.Helper()
 	spec := topo.DefaultSpec(12, 100*topo.Gbps)
 	spec.SwitchRadix = 8
-	eager = topo.BuildFatTree(spec)
-	spec.Fold = true
 	folded = topo.BuildFatTree(spec)
+	spec.Eager = true
+	eager = topo.BuildFatTree(spec)
 	if !folded.Folded() {
 		t.Fatal("folded build did not fold")
 	}

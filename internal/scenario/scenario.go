@@ -53,12 +53,6 @@ type Config struct {
 	// Trace optionally replaces the self-recorded trace in the "trace"
 	// scenario with an external JSON-Lines recording.
 	Trace io.Reader
-	// Fold builds 3-tier electrical fabrics symmetry-folded (one
-	// representative pod/server materialized lazily) and keeps the engine
-	// lazy. Results are byte-identical to the eager build; folding only
-	// changes memory and build time. Ignored by fabrics without identical
-	// pods (rail, topoopt, mixnet).
-	Fold bool
 	// Overlap is the compute/communication overlap discipline: "none"
 	// (default, serial accounting), "layer" (computation joins the plan DAG
 	// and each pipeline slot is priced by its critical path) or "iter"
@@ -193,7 +187,6 @@ func buildCluster(cfg Config, plan moe.TrainPlan) (*topo.Cluster, error) {
 	}
 	spec := topo.DefaultSpec(plan.GPUs()/8, cfg.LinkGbps*topo.Gbps)
 	spec.RegionServers = parallel.RegionServersPerEPGroup(plan, spec.GPUsPerServer)
-	spec.Fold = cfg.Fold
 	switch kind {
 	case topo.FabricOverSubFatTree:
 		spec.Oversub = 3
@@ -398,6 +391,9 @@ func DrillInjector(name string) (Injector, bool) {
 	case FailNICGPU:
 		return compose(injectNIC(0), injectGPU), true
 	case FailServerNIC:
+		// The NIC fault lands on server 1: server 0 just left the group, so
+		// the composition stresses EPS redundancy on a surviving server
+		// while the replacement server is reachable over EPS only.
 		return compose(injectServer, injectNIC(1)), true
 	case CopilotDrill:
 		return injectGPU, true
@@ -518,32 +514,23 @@ func run(name string, cfg Config, base *Result) (Result, error) {
 			return Result{}, err
 		}
 		return runEngine(cfg, name, src)
-	case FailNIC:
-		return drill(cfg, name, base, injectNIC(0))
-	case FailGPU:
-		return drill(cfg, name, base, injectGPU)
-	case FailServer:
-		return drill(cfg, name, base, injectServer)
-	case FailNICGPU:
-		return drill(cfg, name, base, compose(injectNIC(0), injectGPU))
-	case FailServerNIC:
-		// The NIC fault lands on server 1: server 0 just left the group, so
-		// the composition stresses EPS redundancy on a surviving server
-		// while the replacement server is reachable over EPS only.
-		return drill(cfg, name, base, compose(injectServer, injectNIC(1)))
-	case CopilotDrill:
-		// Both the baseline and the faulty engine run under Copilot
-		// first-A2A handling; the memoized block-mode baseline does not
-		// apply, so the drill measures its own clean run.
-		cop := cfg
-		cop.FirstA2A = "copilot"
-		return drill(cop, name, nil, injectGPU)
 	case CoTenant:
 		return runCoTenant(cfg, name)
 	case CoTenantSteal:
 		return runCoTenantSteal(cfg, name)
 	}
-	return Result{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
+	inj, ok := DrillInjector(name)
+	if !ok {
+		return Result{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
+	}
+	if name == CopilotDrill {
+		// Both the baseline and the faulty engine run under Copilot
+		// first-A2A handling; the memoized block-mode baseline does not
+		// apply, so the drill measures its own clean run.
+		cfg.FirstA2A = "copilot"
+		base = nil
+	}
+	return drill(cfg, name, base, inj)
 }
 
 // RunMatrix runs every (scenario, backend) combination and returns results
@@ -562,11 +549,8 @@ func RunMatrix(scenarios, backends []string, cfg Config) ([]Result, error) {
 	// Drills sharing the block-mode clean baseline; copilot-drill measures
 	// its own baseline (different first-A2A policy), so it is excluded.
 	isDrill := func(name string) bool {
-		switch name {
-		case FailNIC, FailGPU, FailServer, FailNICGPU, FailServerNIC:
-			return true
-		}
-		return false
+		_, ok := DrillInjector(name)
+		return ok && name != CopilotDrill
 	}
 	clean := map[string]*Result{} // backend -> memoized clean run
 	out := make([]Result, 0, len(scenarios)*len(backends))

@@ -339,7 +339,7 @@ func simulateDirect(q QueryConfig) (mixnet.Result, error) {
 		return mixnet.Result{}, fmt.Errorf("unknown fabric %q", cfg.Fabric)
 	}
 	return mixnet.Simulate(mixnet.SimConfig{
-		Model: cfg.Model, Fabric: kind, Exec: cfg.Config, Fold: cfg.Fold, Overlap: cfg.Overlap,
+		Model: cfg.Model, Fabric: kind, Exec: cfg.Config, Overlap: cfg.Overlap,
 		LinkGbps: cfg.LinkGbps, DP: cfg.DP, FirstA2A: cfg.FirstA2A,
 		ReconfigDelaySec: cfg.ReconfigDelaySec,
 		Iterations:       cfg.Iterations, Seed: cfg.Seed,

@@ -41,8 +41,8 @@ type Pool struct {
 	memoHits, memoMisses, memoBypasses atomic.Uint64
 }
 
-// pooledEngine is one warm engine plus the build-time state hash Release
-// verifies restoration against.
+// pooledEngine is one warm engine plus the build-state hash Release
+// verifies restoration against (re-stamped as a folded graph grows).
 type pooledEngine struct {
 	e        *trainsim.Engine
 	shape    string
@@ -58,6 +58,7 @@ type Lease struct {
 	pe     *pooledEngine
 	p      *Pool
 	epoch  uint64               // graph epoch at lease start
+	growth uint64               // graph growth (folded materializations) at lease start
 	memo   collective.MemoStats // engine's compile-cache counters at lease start
 }
 
@@ -145,7 +146,8 @@ func (p *Pool) Acquire(cfg scenario.Config) (*Lease, error) {
 // lease opens a lease on pe, snapshotting the state Release measures the
 // lease against.
 func (p *Pool) lease(pe *pooledEngine, warm bool) *Lease {
-	return &Lease{Engine: pe.e, Warm: warm, pe: pe, p: p, epoch: pe.e.Cluster.G.Epoch(), memo: pe.e.MemoStats()}
+	g := pe.e.Cluster.G
+	return &Lease{Engine: pe.e, Warm: warm, pe: pe, p: p, epoch: g.Epoch(), growth: g.Growth(), memo: pe.e.MemoStats()}
 }
 
 // Release returns a leased engine to the pool, or evicts it. damaged
@@ -161,12 +163,15 @@ func (p *Pool) lease(pe *pooledEngine, warm bool) *Lease {
 //     (topo.Graph.StateHash) equals the build hash.
 //
 // Every lease starts from a verified build state, so an unmoved epoch
-// proves the graph untouched. A moved epoch is never rewound: the epoch
-// only increases, so every cache stamped before or during the lease —
-// routes, distance fields, compiled collectives — is stale by stamp and
-// rebuilds lazily, and no later mutation sequence can land on a stamp it
-// recorded. A lease that moved the epoch and passed the hash check counts
-// as a restore.
+// proves the graph unmutated. A symmetry-folded graph may still have grown
+// (topo.Graph.Growth), and what it materialized is in its build state, so
+// its hash becomes the build hash; otherwise every drill after a folded
+// fat-tree's first lease would fail the hash check. A moved epoch is never
+// rewound: the epoch only increases, so every cache stamped before or
+// during the lease — routes, distance fields, compiled collectives — is
+// stale by stamp and rebuilds lazily, and no later mutation sequence can
+// land on a stamp it recorded. A lease that moved the epoch and passed the
+// hash check counts as a restore.
 func (l *Lease) Release(damaged bool) {
 	p, pe := l.p, l.pe
 	l.p, l.pe, l.Engine = nil, nil, nil
@@ -189,6 +194,8 @@ func (l *Lease) Release(damaged bool) {
 			return
 		}
 		p.restores.Add(1)
+	} else if g.Growth() != l.growth {
+		pe.buildSig = g.StateHash()
 	}
 	p.mu.Lock()
 	if idle := p.shapes[pe.shape]; len(idle) < p.maxIdle {

@@ -32,7 +32,6 @@ type QueryConfig struct {
 	Seed             int64   `json:"seed,omitempty"`
 	FirstA2A         string  `json:"first_a2a,omitempty"`
 	ReconfigDelaySec float64 `json:"reconfig_delay_sec,omitempty"`
-	Fold             bool    `json:"fold,omitempty"`
 	Overlap          string  `json:"overlap,omitempty"`
 	// NoCache bypasses the served result cache for this query: the engine
 	// runs even when a byte-identical result is cached. Not part of the
@@ -45,7 +44,7 @@ func (q QueryConfig) scenarioConfig() scenario.Config {
 	return scenario.Config{
 		Model: q.Model, Fabric: q.Fabric, Config: q.Config, LinkGbps: q.LinkGbps, DP: q.DP,
 		Iterations: q.Iterations, Seed: q.Seed, FirstA2A: q.FirstA2A,
-		ReconfigDelaySec: q.ReconfigDelaySec, Fold: q.Fold, Overlap: q.Overlap,
+		ReconfigDelaySec: q.ReconfigDelaySec, Overlap: q.Overlap,
 	}
 }
 

@@ -387,50 +387,59 @@ func TestComposedDrillAfterNICDrill(t *testing.T) {
 
 // TestWarmMixNetMatchesLibrary: a MixNet engine retargets its circuits
 // every iteration, so every lease moves its graph epoch and grows its link
-// table, and it is pooled again only through the state-hash check. One
-// pooled engine answers several seeds and then two drills; every answer
-// must match mixnet.Simulate / scenario.Run on fresh engines byte for byte.
+// table, and it is pooled again only through the state-hash check. A
+// three-tier fat-tree (DP 9: 144 servers) is built folded, so its first
+// lease grows the graph and the build hash must be re-stamped for the
+// drills to restore. Per shape, one pooled engine answers several seeds
+// and then two drills; every answer must match mixnet.Simulate /
+// scenario.Run on fresh engines byte for byte.
 func TestWarmMixNetMatchesLibrary(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
-	c, done := testClient(t, srv)
-	defer done()
-
-	queries := 0
-	for seed := int64(1); seed <= 3; seed++ {
-		q := QueryConfig{Fabric: "mixnet", Iterations: 2, Seed: seed}
-		want, err := simulateDirect(q)
-		if err != nil {
-			t.Fatal(err)
+	for _, shape := range []QueryConfig{
+		{Fabric: "mixnet", Iterations: 2},
+		{Fabric: "fat-tree", DP: 9, Iterations: 1}, // 1,152 GPUs: one iteration keeps -race cheap
+	} {
+		srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+		c, done := testClient(t, srv)
+		queries := 0
+		for seed := int64(1); seed <= 3; seed++ {
+			q := shape
+			q.Seed = seed
+			want, err := simulateDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, _ := json.Marshal(want)
+			got, _, err := c.post("/v1/iter", q)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", shape.Fabric, seed, err)
+			}
+			queries++
+			if !bytes.Equal(got, wb) {
+				t.Fatalf("%s seed %d: served %s\nlibrary %s", shape.Fabric, seed, got, wb)
+			}
 		}
-		wb, _ := json.Marshal(want)
-		got, _, err := c.post("/v1/iter", q)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		for _, sc := range []string{scenario.FailNIC, scenario.FailServer} {
+			q := failureQuery{QueryConfig: shape, Scenario: sc}
+			q.Seed = 4
+			want, err := runScenarioDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := c.post("/v1/failure", q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", shape.Fabric, sc, err)
+			}
+			queries++
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: served %s\nscenario.Run %s", shape.Fabric, sc, got, want)
+			}
 		}
-		queries++
-		if !bytes.Equal(got, wb) {
-			t.Fatalf("seed %d: served %s\nlibrary %s", seed, got, wb)
+		done()
+		st := srv.Pool().Stats()
+		if st.Hits < uint64(queries-1) || st.Restores == 0 {
+			t.Fatalf("%s engine not reused through the hash check over %d queries: %+v", shape.Fabric, queries, st)
 		}
-	}
-	for _, sc := range []string{scenario.FailNIC, scenario.FailServer} {
-		q := failureQuery{QueryConfig: QueryConfig{Fabric: "mixnet", Iterations: 2, Seed: 4}, Scenario: sc}
-		want, err := runScenarioDirect(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.post("/v1/failure", q)
-		if err != nil {
-			t.Fatalf("%s: %v", sc, err)
-		}
-		queries++
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: served %s\nscenario.Run %s", sc, got, want)
-		}
-	}
-	st := srv.Pool().Stats()
-	if st.Hits < uint64(queries-1) || st.Restores == 0 {
-		t.Fatalf("MixNet engine not reused through the hash check over %d queries: %+v", queries, st)
 	}
 }
 
@@ -675,6 +684,7 @@ func TestInvalidQueriesRejected(t *testing.T) {
 		`{"fabric":"fat-tree","iterations":-1,"seed":1}`,
 		`{"reconfig_delay_sec":-1}`,
 		`{"dp":-1}`,
+		`{"fold":true}`,
 	}
 	for _, body := range bodies {
 		if code := post("/v1/iter", body); code != http.StatusBadRequest {
@@ -683,6 +693,14 @@ func TestInvalidQueriesRejected(t *testing.T) {
 		drill := `{"scenario":"fail-nic",` + body[1:]
 		if code := post("/v1/failure", drill); code != http.StatusBadRequest {
 			t.Errorf("/v1/failure %s: %d, want 400", drill, code)
+		}
+	}
+	for _, body := range []string{
+		`{"fabric":"fat-tree","servers":-1,"gbps":400}`,
+		`{"fabric":"fat-tree","servers":0,"gbps":400}`,
+	} {
+		if code := post("/v1/cost", body); code != http.StatusBadRequest {
+			t.Errorf("/v1/cost %s: %d, want 400", body, code)
 		}
 	}
 }

@@ -213,40 +213,57 @@ func TestBuildTopoOpt(t *testing.T) {
 	}
 }
 
-func TestBuildNVL72(t *testing.T) {
-	su := ScaleUpSpec{Domains: 4, GPUsPerDomain: 8, NVLinkBps: 7.2 * Tbps, EthBps: 800 * Gbps}
-	c := BuildNVL72(su)
-	if err := c.G.Validate(); err != nil {
-		t.Fatal(err)
+// scaleUpRadixes are the switch radixes the scale-up builder tests take:
+// the default, and 8, whose 32 scale-out NICs need a three-tier Clos. Only
+// the fat-tree builders fold, so the scale-up builds must stay eager there.
+var scaleUpRadixes = []int{0, 8}
+
+// requireEagerScaleUp checks a scale-up build is eager, valid and routes
+// GPU to GPU across domains.
+func requireEagerScaleUp(t *testing.T, c *Cluster, radix int) {
+	t.Helper()
+	if c.Folded() {
+		t.Fatalf("radix %d: %v build folded", radix, c.Kind)
 	}
-	if c.GPUCount() != 32 {
-		t.Errorf("GPUCount = %d, want 32", c.GPUCount())
+	if err := c.G.Validate(); err != nil {
+		t.Fatalf("radix %d: %v", radix, err)
 	}
 	r := NewBFSRouter(c.G)
 	if _, err := r.Route(c.GPU(0, 0), c.GPU(3, 7), 1); err != nil {
-		t.Errorf("NVL72 scale-out disconnected: %v", err)
+		t.Errorf("radix %d: %v scale-out disconnected: %v", radix, c.Kind, err)
+	}
+}
+
+func TestBuildNVL72(t *testing.T) {
+	for _, radix := range scaleUpRadixes {
+		su := ScaleUpSpec{Domains: 4, GPUsPerDomain: 8, NVLinkBps: 7.2 * Tbps, EthBps: 800 * Gbps, SwitchRadix: radix}
+		c := BuildNVL72(su)
+		requireEagerScaleUp(t, c, radix)
+		if c.GPUCount() != 32 {
+			t.Errorf("radix %d: GPUCount = %d, want 32", radix, c.GPUCount())
+		}
 	}
 }
 
 func TestBuildMixNetCPO(t *testing.T) {
-	su := ScaleUpSpec{Domains: 4, GPUsPerDomain: 8, NVLinkBps: 3.6 * Tbps,
-		OCSBps: 3.6 * Tbps, EthBps: 800 * Gbps, RegionDomains: 2}
-	c := BuildMixNetCPO(su)
-	if err := c.G.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Regions) != 2 {
-		t.Fatalf("regions = %d, want 2", len(c.Regions))
-	}
-	// GPU-attached circuits exist.
-	live := 0
-	for _, l := range c.G.Links {
-		if l.Circuit && l.Up && c.G.Nodes[l.From].Kind == KindGPU {
-			live++
+	for _, radix := range scaleUpRadixes {
+		su := ScaleUpSpec{Domains: 4, GPUsPerDomain: 8, NVLinkBps: 3.6 * Tbps,
+			OCSBps: 3.6 * Tbps, EthBps: 800 * Gbps, RegionDomains: 2, SwitchRadix: radix}
+		c := BuildMixNetCPO(su)
+		requireEagerScaleUp(t, c, radix)
+		if len(c.Regions) != 2 {
+			t.Fatalf("radix %d: regions = %d, want 2", radix, len(c.Regions))
 		}
-	}
-	if live == 0 {
-		t.Error("no GPU-attached circuits installed")
+		// GPU-attached circuits exist.
+		live := 0
+		for _, l := range c.G.Links {
+			if l.Circuit && l.Up && c.G.Nodes[l.From].Kind == KindGPU {
+				live++
+			}
+		}
+		if live == 0 {
+			t.Errorf("radix %d: no GPU-attached circuits installed", radix)
+		}
 	}
 }
 

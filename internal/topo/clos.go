@@ -186,7 +186,7 @@ func allNICNodes(servers []Server, class *NICClass) []NodeID {
 }
 
 // BuildFatTree constructs a 1:1 non-blocking fat-tree cluster.
-func BuildFatTree(spec Spec) *Cluster { return buildElectrical(spec, FabricFatTree, false, 1) }
+func BuildFatTree(spec Spec) *Cluster { return buildFatTree(spec, FabricFatTree, 1) }
 
 // BuildOverSubFatTree constructs a fat-tree tapered by spec.Oversub
 // (the paper evaluates 3:1).
@@ -195,7 +195,19 @@ func BuildOverSubFatTree(spec Spec) *Cluster {
 	if s.Oversub <= 1 {
 		s.Oversub = 3
 	}
-	return buildElectrical(s, FabricOverSubFatTree, false, s.Oversub)
+	return buildFatTree(s, FabricOverSubFatTree, s.Oversub)
+}
+
+// buildFatTree folds every three-tier layout (fold.go) unless spec.Eager
+// asks for the reference build. buildElectrical must not decide: the
+// scale-up builders share it and wire circuits through c.Servers, which a
+// folded build leaves unmaterialized.
+func buildFatTree(spec Spec, kind FabricKind, oversub float64) *Cluster {
+	spec = spec.withDefaults()
+	if lay := closLayoutFor(spec, false, oversub); lay.tiers == 3 && !spec.Eager {
+		return buildFoldedElectrical(spec, kind, lay)
+	}
+	return buildElectrical(spec, kind, false, oversub)
 }
 
 // BuildRailOptimized constructs Nvidia's rail-optimized wiring: NIC i of
@@ -207,9 +219,6 @@ func BuildRailOptimized(spec Spec) *Cluster {
 func buildElectrical(spec Spec, kind FabricKind, rail bool, oversub float64) *Cluster {
 	spec = spec.withDefaults()
 	lay := closLayoutFor(spec, rail, oversub)
-	if spec.Fold && !rail && lay.tiers == 3 {
-		return buildFoldedElectrical(spec, kind, lay)
-	}
 	g := NewGraph()
 	g.Grow(spec.Servers*nodesPerServer(spec)+lay.switchNodes,
 		spec.Servers*linksPerServer(spec)+lay.closLinks)

@@ -47,14 +47,14 @@ type Spec struct {
 	// (1.0 = non-blocking).
 	Oversub float64
 
-	// Fold enables symmetry folding for the three-tier fat-tree builders:
-	// identical pods and servers are constructed lazily, on first touch,
-	// instead of eagerly materializing the whole cluster. Folded and
-	// unfolded clusters produce byte-identical simulation results; failure
-	// injectors and inventory accessors materialize (unfold) what they
-	// touch. Ignored by fabrics without the symmetry (rail-optimized,
-	// TopoOpt, MixNet) and by clusters small enough to be 1–2 tier.
-	Fold bool
+	// Eager asks the three-tier fat-tree builders for the reference build,
+	// which materializes the whole cluster up front. By default they fold
+	// by symmetry: identical pods and servers are constructed lazily, on
+	// first touch. Folded and eager clusters produce byte-identical
+	// simulation results; failure injectors and inventory accessors
+	// materialize (unfold) what they touch. Only the large-scale bench's
+	// reference rows and the fold-equivalence tests set it.
+	Eager bool
 }
 
 // DefaultSpec returns the paper's simulation setup (§7.1): 8 GPUs and

@@ -19,7 +19,7 @@ func foldSpec(servers int) Spec {
 func buildPair(servers int, oversub float64) (eager, folded *Cluster) {
 	se := foldSpec(servers)
 	sf := foldSpec(servers)
-	sf.Fold = true
+	se.Eager = true
 	if oversub > 1 {
 		se.Oversub, sf.Oversub = oversub, oversub
 		return BuildOverSubFatTree(se), BuildOverSubFatTree(sf)
@@ -194,31 +194,42 @@ func TestFoldedFailureAutoUnfolds(t *testing.T) {
 // with counted pre-sizing throughout the hot paths — must stay within a
 // fixed budget. Build times and peak heap are benchmarked by
 // mixnet-bench -scale large; this guards against allocation regressions in
-// CI.
+// CI. The folded BOM, computed arithmetically, must equal the eager count
+// at this cost-model scale (radix 64, as internal/cost builds), for both
+// fat-tree builders.
 func TestFoldedBuildAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8k-GPU build in -short mode")
 	}
-	alloc := func(fold bool) uint64 {
-		spec := DefaultSpec(1024, 400*Gbps) // 8192 GPUs
-		spec.Fold = fold
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		c := BuildFatTree(spec)
-		runtime.ReadMemStats(&after)
-		if c.GPUCount() != 8192 {
-			t.Fatalf("built %d GPUs", c.GPUCount())
+	for _, oversub := range []float64{1, 3} {
+		builder := BuildFatTree
+		if oversub > 1 {
+			builder = BuildOverSubFatTree
 		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	eagerBytes := alloc(false)
-	foldedBytes := alloc(true)
-	t.Logf("8k-GPU build: eager %.1f MB, folded %.2f MB", float64(eagerBytes)/(1<<20), float64(foldedBytes)/(1<<20))
-	if eagerBytes > 64<<20 {
-		t.Errorf("eager 8k build allocated %d MB, budget 64 MB — pre-sizing regressed", eagerBytes>>20)
-	}
-	if foldedBytes*5 > eagerBytes {
-		t.Errorf("folded build allocated %d bytes, eager %d: want at least 5x reduction", foldedBytes, eagerBytes)
+		build := func(eager bool) (*Cluster, uint64) {
+			spec := DefaultSpec(1024, 400*Gbps) // 8192 GPUs
+			spec.Eager, spec.Oversub = eager, oversub
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c := builder(spec)
+			runtime.ReadMemStats(&after)
+			if c.GPUCount() != 8192 || c.Folded() == eager {
+				t.Fatalf("oversub=%v: built %d GPUs, folded=%v", oversub, c.GPUCount(), c.Folded())
+			}
+			return c, after.TotalAlloc - before.TotalAlloc
+		}
+		eager, eagerBytes := build(true)
+		folded, foldedBytes := build(false)
+		t.Logf("oversub=%v 8k-GPU build: eager %.1f MB, folded %.2f MB", oversub, float64(eagerBytes)/(1<<20), float64(foldedBytes)/(1<<20))
+		if eagerBytes > 64<<20 {
+			t.Errorf("oversub=%v: eager 8k build allocated %d MB, budget 64 MB — pre-sizing regressed", oversub, eagerBytes>>20)
+		}
+		if foldedBytes*5 > eagerBytes {
+			t.Errorf("oversub=%v: folded build allocated %d bytes, eager %d: want at least 5x reduction", oversub, foldedBytes, eagerBytes)
+		}
+		if eager.BOM != folded.BOM {
+			t.Errorf("oversub=%v: BOM eager %+v folded %+v", oversub, eager.BOM, folded.BOM)
+		}
 	}
 }

@@ -283,9 +283,7 @@ func TestRouterMatchesReference(t *testing.T) {
 	// cores) does gain equal-cost detours through every new pod.
 	t.Run("folded-growth", func(t *testing.T) {
 		t.Parallel()
-		s := foldSpec(12)
-		s.Fold = true
-		c := BuildFatTree(s)
+		c := BuildFatTree(foldSpec(12))
 		if !c.Folded() {
 			t.Fatal("test setup: fat-tree did not fold")
 		}

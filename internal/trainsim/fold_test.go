@@ -16,7 +16,7 @@ func foldEngine(t *testing.T, fold bool, opts Options) *Engine {
 	plan.DP = 4
 	spec := tinySpec(16)
 	spec.SwitchRadix = 8
-	spec.Fold = fold
+	spec.Eager = !fold
 	c := topo.BuildFatTree(spec)
 	if fold != c.Folded() {
 		t.Fatalf("Folded() = %v, want %v", c.Folded(), fold)

@@ -290,9 +290,10 @@ func (s IterStats) A2AFraction() float64 {
 }
 
 // New builds an engine. The cluster must have exactly plan.GPUs() GPUs. A
-// symmetry-folded cluster (topo.Spec.Fold) stays lazy: servers, switches
-// and links materialize only when a collective routes through them, with
-// results byte-identical to the eager build.
+// symmetry-folded cluster (every three-tier fat-tree unless built with
+// topo.Spec.Eager) stays lazy: servers, switches and links materialize only
+// when a collective routes through them, with results byte-identical to the
+// eager build.
 func New(m moe.Model, plan moe.TrainPlan, cluster *topo.Cluster, opts Options) (*Engine, error) {
 	if err := moe.Validate(m, plan); err != nil {
 		return nil, err

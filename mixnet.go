@@ -82,12 +82,6 @@ type SimConfig struct {
 	Iterations int
 	// Seed drives the synthetic gate; equal seeds reproduce runs exactly.
 	Seed int64
-	// Fold builds 3-tier electrical fabrics (FatTree, OverSubFatTree)
-	// symmetry-folded: identical pods and servers share one lazily
-	// materialized representative, cutting build time and memory at large
-	// scale. Results are byte-identical with and without Fold; fabrics
-	// without identical pods ignore it.
-	Fold bool
 	// Overlap selects the compute/communication overlap discipline:
 	// "none" (default) prices each iteration as the historical serial
 	// sum, "layer" overlaps layer k's collectives with layer k+1's
@@ -134,7 +128,7 @@ func Simulate(cfg SimConfig) (Result, error) {
 		return Result{}, fmt.Errorf("mixnet: fabric %v not supported by Simulate", cfg.Fabric)
 	}
 	engine, err := scenario.NewEngine(scenario.Config{
-		Model: cfg.Model, Fabric: fabricName, Config: cfg.Exec, Fold: cfg.Fold,
+		Model: cfg.Model, Fabric: fabricName, Config: cfg.Exec,
 		Overlap: cfg.Overlap, LinkGbps: cfg.LinkGbps, DP: cfg.DP, Seed: cfg.Seed,
 		FirstA2A: cfg.FirstA2A, ReconfigDelaySec: cfg.ReconfigDelaySec,
 	})
@@ -156,8 +150,9 @@ func Simulate(cfg SimConfig) (Result, error) {
 // CostBreakdown itemises a fabric's networking cost in USD.
 type CostBreakdown = cost.Breakdown
 
-// NetworkCost prices a fabric with servers 8-GPU hosts at the given link
-// bandwidth (100, 200, 400 or 800 Gbps) using Table 4 component prices.
+// NetworkCost prices a fabric with servers (at least one) 8-GPU hosts at
+// the given link bandwidth (100, 200, 400 or 800 Gbps) using Table 4
+// component prices.
 func NetworkCost(fabric Fabric, servers, gbps int) (CostBreakdown, error) {
 	return cost.FabricCost(fabric, servers, gbps, cost.LinkFiber)
 }

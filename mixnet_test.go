@@ -92,6 +92,11 @@ func TestNetworkCost(t *testing.T) {
 	if _, err := NetworkCost(FatTree, 128, 123); err == nil {
 		t.Error("unknown bandwidth accepted")
 	}
+	for _, servers := range []int{-1, 0} {
+		if _, err := NetworkCost(FatTree, servers, 400); err == nil {
+			t.Errorf("%d servers accepted", servers)
+		}
+	}
 }
 
 func TestExperimentDispatch(t *testing.T) {
