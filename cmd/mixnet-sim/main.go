@@ -11,7 +11,7 @@
 //	mixnet-sim -fabric fat-tree -dp 9                # three tiers: always built symmetry-folded
 //	mixnet-sim -scenario fail-nic+fail-gpu           # composed multi-failure drill
 //	mixnet-sim -scenario matrix -backends fluid,packet,analytic
-//	mixnet-sim -tenants 2 -contend                   # co-scheduled jobs, shared-link contention priced
+//	mixnet-sim -tenants 2 -contend -fabric topoopt -dp 2   # co-scheduled jobs, shared-link contention priced
 //	mixnet-sim -tenants 2 -arbiter-slots 1 -arbiter priority   # shared reconfiguration control plane
 package main
 
@@ -25,6 +25,7 @@ import (
 	"mixnet/internal/netsim"
 	"mixnet/internal/scenario"
 	"mixnet/internal/tenancy"
+	"mixnet/internal/topo"
 	"mixnet/internal/trainsim"
 )
 
@@ -45,7 +46,7 @@ func main() {
 		scen     = flag.String("scenario", "", "run a named scenario instead: synthetic | trace | fail-nic | fail-gpu | fail-server | fail-nic+fail-gpu | fail-server+fail-nic | copilot-drill | co-tenant | co-tenant-steal | matrix")
 		backends = flag.String("backends", "", "comma-separated backend list for -scenario matrix (default: -backend)")
 		tenants  = flag.Int("tenants", 0, "co-schedule N jobs (-model at -dp plus N-1 DP-doubled neighbours) on one shared fabric")
-		contend  = flag.Bool("contend", false, "price cross-tenant shared-link contention by co-simulating concurrent flows (default: isolated slices, bitwise solo-identical)")
+		contend  = flag.Bool("contend", false, "price cross-tenant shared-link contention by co-simulating concurrent flows; fluid or packet backend (default: isolated slices, bitwise solo-identical)")
 		arbSlots = flag.Int("arbiter-slots", 0, "shared OCS reconfiguration slots across tenants (0 = unarbitrated)")
 		arbiter  = flag.String("arbiter", "fair", "reconfiguration-grant policy with -arbiter-slots: fair | priority")
 		list     = flag.Bool("list", false, "list models and scenarios, then exit")
@@ -77,7 +78,7 @@ func main() {
 		})
 		return
 	}
-	kind, ok := scenario.Fabrics()[strings.ToLower(*fabric)]
+	kind, ok := topo.Fabrics()[strings.ToLower(*fabric)]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown fabric %q\n", *fabric)
 		os.Exit(2)
@@ -123,6 +124,10 @@ func main() {
 func runTenants(n int, cfg tenancy.Config, model string, dp, iters int, seed int64, mode, overlap string) {
 	if n < 2 {
 		fmt.Fprintf(os.Stderr, "-tenants needs >= 2 jobs, got %d\n", n)
+		os.Exit(2)
+	}
+	if iters < 1 {
+		fmt.Fprintf(os.Stderr, "-tenants needs -iters >= 1, got %d\n", iters)
 		os.Exit(2)
 	}
 	jobs := make([]tenancy.Job, n)

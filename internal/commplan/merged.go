@@ -23,13 +23,17 @@ import (
 // draining each plan alone with Plan.Execute: steps are independent
 // simulations, so sharing the pool is purely a scheduling optimisation.
 // With Contend set, steps of *different* plans that become ready in the
-// same round and at the same frontier position are fused into one
-// co-simulated workload (phase k of each aligned with phase k of the
-// others), so flows crossing shared links are priced under max-min
-// contention with the neighbour tenant's flows instead of in isolation.
-// Steps of the same plan are never fused — within one job, frontier
-// batching is a simulator-throughput trick over steps that are serialized
-// in real time, whereas distinct jobs genuinely run concurrently.
+// same round and at the same frontier position, and whose flows share a
+// link in some phase, are fused into one co-simulated workload (phase k of
+// each aligned with phase k of the others), so flows crossing shared links
+// are priced under max-min contention with the neighbour tenant's flows
+// instead of in isolation. Link-disjoint steps are priced alone, bitwise as
+// without Contend. Steps of the same plan are never fused — within one
+// job, frontier batching is a simulator-throughput trick over steps that
+// are serialized in real time, whereas distinct jobs genuinely run
+// concurrently. Each member's time is read back from its own flows' Finish
+// fields, so Contend needs a backend that reports per-flow completion
+// times (netsim.FlowTimes); Execute rejects the analytic backends.
 type MergedExec struct {
 	// Contend enables cross-plan contention pricing (see type comment).
 	Contend bool
@@ -48,6 +52,11 @@ type MergedExec struct {
 	// fields belong to the solo semantics) and the fused phase arenas.
 	flowBuf []netsim.Flow
 	fused   []([]*netsim.Flow)
+	// link-sharing probe: per link storage slot, the stamp of the phase
+	// that last used it and the member that used it then.
+	linkStamp []uint32
+	linkOwner []int32
+	stamp     uint32
 
 	// cumulative merged-frontier stats.
 	batches    uint64
@@ -158,6 +167,9 @@ func (m *MergedExec) collectReady() int {
 // ready simulated steps per BatchMakespan call. Empty plans are permitted.
 // See the type comment for the determinism and contention contracts.
 func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) error {
+	if m.Contend && !netsim.FlowTimes(b.Name()) {
+		return fmt.Errorf("commplan: contended pricing needs per-flow completion times; the %s backend reports only serialization bounds", b.Name())
+	}
 	m.grow(plans)
 	total := 0
 	for pi, p := range plans {
@@ -210,8 +222,9 @@ func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) err
 // simulateRound prices every step the current round collected, writing each
 // step's Makespan. Non-contended, the round is one BatchMakespan call —
 // per-step results identical to a solo drain. Contended, steps of different
-// plans at the same frontier position fuse into one co-simulated workload;
-// steps with no cross-plan partner still run solo.
+// plans at the same frontier position fuse into one co-simulated workload
+// when their flows share a link in some phase; steps with no cross-plan
+// partner, or none they share a link with, still run solo.
 func (m *MergedExec) simulateRound(g *topo.Graph, b netsim.Backend) error {
 	if !m.Contend {
 		ms, err := b.BatchMakespan(g, m.batch)
@@ -232,28 +245,71 @@ func (m *MergedExec) simulateRound(g *topo.Graph, b netsim.Backend) error {
 		}
 	}
 	for k := int32(0); k < maxN; k++ {
-		solo := int32(-1) // batch index when exactly one plan has position k
-		members := 0
+		if m.sharesLinks(g, k) {
+			if err := m.simulateFused(g, b, k); err != nil {
+				return err
+			}
+			continue
+		}
+		// A step with no cross-plan partner, or none it shares a link with,
+		// cannot be slowed down by a neighbour: price each alone, bitwise
+		// equal to the isolated drain.
 		for pi := range m.states {
 			st := &m.states[pi]
-			if k < st.roundN {
-				solo = st.roundOff + k
-				members++
+			if k >= st.roundN {
+				continue
 			}
-		}
-		if members == 1 {
-			ms, err := b.Makespan(g, m.batch[solo])
+			bi := st.roundOff + k
+			ms, err := b.Makespan(g, m.batch[bi])
 			if err != nil {
 				return err
 			}
-			m.states[m.owners[solo]].p.steps[m.ids[solo]].Makespan = ms
-			continue
-		}
-		if err := m.simulateFused(g, b, k); err != nil {
-			return err
+			m.states[m.owners[bi]].p.steps[m.ids[bi]].Makespan = ms
 		}
 	}
 	return nil
+}
+
+// sharesLinks reports whether, in some phase, flows of two different
+// members of the cross-plan group at frontier position k cross the same
+// link — the only case in which fusing them changes anyone's time.
+func (m *MergedExec) sharesLinks(g *topo.Graph, k int32) bool {
+	if len(m.linkStamp) < len(g.Links) {
+		m.linkStamp = make([]uint32, len(g.Links))
+		m.linkOwner = make([]int32, len(g.Links))
+		m.stamp = 0
+	}
+	for p := 0; ; p++ {
+		m.stamp++
+		if m.stamp == 0 {
+			clear(m.linkStamp)
+			m.stamp = 1
+		}
+		more := false
+		for pi := range m.states {
+			st := &m.states[pi]
+			if k >= st.roundN {
+				continue
+			}
+			member := m.batch[st.roundOff+k]
+			if p >= len(member) {
+				continue
+			}
+			more = true
+			for _, f := range member[p] {
+				for _, l := range f.Path {
+					li := g.LinkIndex(l)
+					if m.linkStamp[li] == m.stamp && m.linkOwner[li] != int32(pi) {
+						return true
+					}
+					m.linkStamp[li], m.linkOwner[li] = m.stamp, int32(pi)
+				}
+			}
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // simulateFused co-simulates the cross-plan group at frontier position k of

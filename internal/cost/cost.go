@@ -129,20 +129,8 @@ func FabricCost(kind topo.FabricKind, servers, gbps int, opt LinkOption) (Breakd
 	if err != nil {
 		return Breakdown{}, err
 	}
-	spec := topo.DefaultSpec(servers, float64(gbps)*topo.Gbps)
-	var c *topo.Cluster
-	switch kind {
-	case topo.FabricFatTree:
-		c = topo.BuildFatTree(spec)
-	case topo.FabricOverSubFatTree:
-		c = topo.BuildOverSubFatTree(spec)
-	case topo.FabricRailOptimized:
-		c = topo.BuildRailOptimized(spec)
-	case topo.FabricTopoOpt:
-		c = topo.BuildTopoOpt(spec)
-	case topo.FabricMixNet:
-		c = topo.BuildMixNet(spec)
-	default:
+	c, err := topo.Build(kind, topo.DefaultSpec(servers, float64(gbps)*topo.Gbps))
+	if err != nil {
 		return Breakdown{}, fmt.Errorf("cost: no cost model for fabric %v", kind)
 	}
 	return Compute(c.BOM, prices, opt), nil

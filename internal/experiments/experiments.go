@@ -140,19 +140,11 @@ func buildCluster(kind topo.FabricKind, servers int, gbps float64, plan moe.Trai
 	spec := topo.DefaultSpec(servers, gbps)
 	spec.SwitchRadix = 16
 	spec.RegionServers = parallel.RegionServersPerEPGroup(plan, spec.GPUsPerServer)
-	switch kind {
-	case topo.FabricOverSubFatTree:
-		spec.Oversub = 3
-		return topo.BuildOverSubFatTree(spec)
-	case topo.FabricRailOptimized:
-		return topo.BuildRailOptimized(spec)
-	case topo.FabricTopoOpt:
-		return topo.BuildTopoOpt(spec)
-	case topo.FabricMixNet:
-		return topo.BuildMixNet(spec)
-	default:
-		return topo.BuildFatTree(spec)
+	c, err := topo.Build(kind, spec)
+	if err != nil {
+		panic(err) // every sweep names one of the five simulated fabrics
 	}
+	return c
 }
 
 // planFor sizes a model's simulation plan (§D.1) for a target GPU count by

@@ -89,6 +89,12 @@ const DefaultName = "fluid"
 // spreading instead of sampled-path charging (see NewAnalyticECMP).
 func Names() []string { return []string{"fluid", "packet", "analytic", "analytic-ecmp"} }
 
+// FlowTimes reports whether the named backend writes each flow's completion
+// time into Flow.Finish. Fluid and packet do. The analytic backends write
+// only the flow's serialization bound: their phase time also takes every
+// link's bandwidth bound, which no single flow's Finish carries.
+func FlowTimes(name string) bool { return name == "fluid" || name == "packet" }
+
 // Config selects and tunes a backend. It is the one execution-options value
 // every layer carries — trainsim.Options, scenario.Config, tenancy.Config,
 // mixnet.SimConfig and the query service's wire form embed it — and the

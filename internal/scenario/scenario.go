@@ -100,7 +100,8 @@ const (
 	// model at twice the data parallelism, different seed) on one shared
 	// fabric with contention pricing: the result's MeanIterTime is the
 	// primary tenant's contended mean, the baseline its solo serial-sum
-	// mean, and Overhead the cross-tenant interference inflation.
+	// mean, and Overhead the cross-tenant interference inflation. Both
+	// co-tenant entries need the fluid or packet backend.
 	CoTenant = "co-tenant"
 	// CoTenantSteal is the cross-tenant failure drill: in the contended
 	// co-simulation the primary tenant loses its first server and its
@@ -168,38 +169,15 @@ func modelPlan(cfg Config) (moe.Model, moe.TrainPlan, error) {
 	return moe.PlanFor(cfg.Model, cfg.DP)
 }
 
-// Fabrics maps the CLI fabric names to topology kinds.
-func Fabrics() map[string]topo.FabricKind {
-	return map[string]topo.FabricKind{
-		"fat-tree": topo.FabricFatTree,
-		"oversub":  topo.FabricOverSubFatTree,
-		"rail":     topo.FabricRailOptimized,
-		"topoopt":  topo.FabricTopoOpt,
-		"mixnet":   topo.FabricMixNet,
-	}
-}
-
 // buildCluster constructs the configured fabric sized for plan.
 func buildCluster(cfg Config, plan moe.TrainPlan) (*topo.Cluster, error) {
-	kind, ok := Fabrics()[cfg.Fabric]
+	kind, ok := topo.Fabrics()[cfg.Fabric]
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown fabric %q", cfg.Fabric)
 	}
 	spec := topo.DefaultSpec(plan.GPUs()/8, cfg.LinkGbps*topo.Gbps)
 	spec.RegionServers = parallel.RegionServersPerEPGroup(plan, spec.GPUsPerServer)
-	switch kind {
-	case topo.FabricOverSubFatTree:
-		spec.Oversub = 3
-		return topo.BuildOverSubFatTree(spec), nil
-	case topo.FabricRailOptimized:
-		return topo.BuildRailOptimized(spec), nil
-	case topo.FabricTopoOpt:
-		return topo.BuildTopoOpt(spec), nil
-	case topo.FabricMixNet:
-		return topo.BuildMixNet(spec), nil
-	default:
-		return topo.BuildFatTree(spec), nil
-	}
+	return topo.Build(kind, spec)
 }
 
 // NewEngine builds the training engine a Config describes, defaults
@@ -535,12 +513,15 @@ func run(name string, cfg Config, base *Result) (Result, error) {
 
 // RunMatrix runs every (scenario, backend) combination and returns results
 // in scenario-major order. Empty slices default to the full scenario set
-// and the configured backend. The clean engine run is measured once per
-// backend and shared: the synthetic scenario's result (or an on-demand
-// equivalent) is the failure drills' baseline, so N drills cost N faulty
-// runs plus one clean run instead of N+1 clean runs.
+// and the configured backend. The default set leaves out the co-tenant
+// pair on backends that cannot price contention (no per-flow completion
+// times, netsim.FlowTimes); naming them there is an error. The clean engine
+// run is measured once per backend and shared: the synthetic scenario's
+// result (or an on-demand equivalent) is the failure drills' baseline, so
+// N drills cost N faulty runs plus one clean run instead of N+1 clean runs.
 func RunMatrix(scenarios, backends []string, cfg Config) ([]Result, error) {
-	if len(scenarios) == 0 {
+	defaulted := len(scenarios) == 0
+	if defaulted {
 		scenarios = Names()
 	}
 	if len(backends) == 0 {
@@ -559,6 +540,9 @@ func RunMatrix(scenarios, backends []string, cfg Config) ([]Result, error) {
 			c := cfg
 			c.Backend = b
 			c = c.withDefaults()
+			if defaulted && (sc == CoTenant || sc == CoTenantSteal) && !netsim.FlowTimes(c.BackendName()) {
+				continue
+			}
 			base := clean[b]
 			if isDrill(sc) && base == nil {
 				r, err := runEngine(c, Synthetic, nil)

@@ -118,14 +118,29 @@ func TestMatrixAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(Names()) * 2
+	// analytic-ecmp cannot price contention, so the default set runs the
+	// co-tenant pair on fluid only.
+	want := len(Names())*2 - 2
 	if len(results) != want {
 		t.Fatalf("%d results, want %d", len(results), want)
 	}
+	coTenantRows := 0
 	for _, r := range results {
 		if r.MeanIterTime <= 0 {
 			t.Errorf("%s/%s: mean %v", r.Scenario, r.Backend, r.MeanIterTime)
 		}
+		if r.Scenario == CoTenant || r.Scenario == CoTenantSteal {
+			coTenantRows++
+			if r.Backend != "fluid" {
+				t.Errorf("%s ran on %s", r.Scenario, r.Backend)
+			}
+		}
+	}
+	if coTenantRows != 2 {
+		t.Errorf("%d co-tenant rows, want 2 (fluid)", coTenantRows)
+	}
+	if _, err := RunMatrix([]string{CoTenant}, []string{"analytic-ecmp"}, quickCfg()); err == nil {
+		t.Error("co-tenant on analytic-ecmp accepted when named")
 	}
 	// The drills' baseline is the memoized clean run: it must equal the
 	// matrix's own synthetic result for the same backend exactly.

@@ -334,7 +334,7 @@ func (c *client) measure(n int, opts BenchOptions) (QPSPoint, error) {
 // query (the exact path cmd/mixnet-sim takes).
 func simulateDirect(q QueryConfig) (mixnet.Result, error) {
 	cfg := q.scenarioConfig().WithDefaults()
-	kind, ok := scenario.Fabrics()[cfg.Fabric]
+	kind, ok := topo.Fabrics()[cfg.Fabric]
 	if !ok {
 		return mixnet.Result{}, fmt.Errorf("unknown fabric %q", cfg.Fabric)
 	}

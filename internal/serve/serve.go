@@ -13,6 +13,7 @@ import (
 	"mixnet/internal/collective"
 	"mixnet/internal/netsim"
 	"mixnet/internal/scenario"
+	"mixnet/internal/topo"
 	"mixnet/internal/trainsim"
 )
 
@@ -409,7 +410,7 @@ func (s *Server) runIter(q QueryConfig) (any, Meta, error) {
 
 // runCost answers a fabric-pricing query (no engine involved).
 func (s *Server) runCost(q costQuery) (any, Meta, error) {
-	kind, ok := scenario.Fabrics()[q.Fabric]
+	kind, ok := topo.Fabrics()[q.Fabric]
 	if !ok {
 		return nil, Meta{}, badQuery(fmt.Errorf("serve: unknown fabric %q", q.Fabric))
 	}

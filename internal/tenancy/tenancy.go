@@ -18,10 +18,16 @@
 // jobs never influence each other's simulations); Contend trades that
 // identity for fidelity, co-simulating concurrent cross-tenant steps so
 // shared-link interference is priced by the flows themselves.
+//
+// Disjoint slices do not imply disjoint links. On TopoOpt a tenant's
+// traffic is forwarded through its neighbour's hosts, and on three-tier
+// fat-trees (slices are not pod-aligned) tenants in one pod can share its
+// core uplinks. Only Contend prices that.
 package tenancy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mixnet/internal/commplan"
@@ -83,10 +89,13 @@ type Config struct {
 	// Contend prices cross-tenant shared-link contention by co-simulating
 	// concurrent steps of different tenants as one fused workload (see
 	// commplan.MergedExec). Off, tenants reproduce their solo runs bitwise.
+	// It needs the fluid or packet backend (netsim.FlowTimes); Run fails on
+	// the analytic ones.
 	Contend bool
 	// ArbiterSlots bounds how many tenants' OCS reconfigurations the shared
 	// control plane executes concurrently; 0 (default) is unlimited — no
-	// arbitration, no cross-tenant reconfiguration waits.
+	// arbitration, no cross-tenant reconfiguration waits. Negative is an
+	// error.
 	ArbiterSlots int
 	// ArbiterPolicy grants reconfiguration windows "fair" (rotating
 	// first-grant, the default) or by "priority" (canonical tenant order).
@@ -140,16 +149,6 @@ type CoSim struct {
 	waits   []float64
 }
 
-// fabricKinds mirrors the scenario runner's CLI fabric names; tenancy
-// cannot import internal/scenario (the scenario matrix builds on tenancy).
-var fabricKinds = map[string]topo.FabricKind{
-	"fat-tree": topo.FabricFatTree,
-	"oversub":  topo.FabricOverSubFatTree,
-	"rail":     topo.FabricRailOptimized,
-	"topoopt":  topo.FabricTopoOpt,
-	"mixnet":   topo.FabricMixNet,
-}
-
 // resolved is one job's sized workload before engine construction.
 type resolved struct {
 	job     Job
@@ -169,11 +168,15 @@ func New(cfg Config, jobs []Job) (*CoSim, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("tenancy: no jobs")
 	}
-	if !(cfg.LinkGbps > 0) {
-		return nil, fmt.Errorf("tenancy: link rate %g Gbps, want > 0", cfg.LinkGbps)
-	}
-	if !(cfg.ReconfigDelaySec >= 0) {
-		return nil, fmt.Errorf("tenancy: reconfiguration delay %gs, want >= 0", cfg.ReconfigDelaySec)
+	// The scenario runner's checks (scenario.Config.Validate; zero values
+	// already took the defaults), plus the arbiter's slot count.
+	switch {
+	case !(cfg.LinkGbps > 0) || math.IsInf(cfg.LinkGbps, 1):
+		return nil, fmt.Errorf("tenancy: link rate %g Gbps, want a finite rate > 0", cfg.LinkGbps)
+	case !(cfg.ReconfigDelaySec >= 0) || math.IsInf(cfg.ReconfigDelaySec, 1):
+		return nil, fmt.Errorf("tenancy: reconfiguration delay %gs, want a finite delay >= 0", cfg.ReconfigDelaySec)
+	case cfg.ArbiterSlots < 0:
+		return nil, fmt.Errorf("tenancy: %d arbiter slots, want >= 0", cfg.ArbiterSlots)
 	}
 	ordered := append([]Job(nil), jobs...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Name < ordered[j].Name })
@@ -187,11 +190,11 @@ func New(cfg Config, jobs []Job) (*CoSim, error) {
 		}
 		seen[j.Name] = true
 	}
-	kind, ok := fabricKinds[cfg.Fabric]
+	kind, ok := topo.Fabrics()[cfg.Fabric]
 	if !ok {
 		return nil, fmt.Errorf("tenancy: unknown fabric %q", cfg.Fabric)
 	}
-	reconf := kind == topo.FabricMixNet || kind == topo.FabricMixNetCPO
+	reconf := kind == topo.FabricMixNet
 	gpusPerServer := topo.DefaultSpec(1, 1).GPUsPerServer
 
 	rs := make([]resolved, len(ordered))
@@ -256,24 +259,13 @@ func New(cfg Config, jobs []Job) (*CoSim, error) {
 
 	spec := topo.DefaultSpec(total, cfg.LinkGbps*topo.Gbps)
 	spec.RegionServers = span
-	var cluster *topo.Cluster
-	switch kind {
-	case topo.FabricOverSubFatTree:
-		spec.Oversub = 3
-		cluster = topo.BuildOverSubFatTree(spec)
-	case topo.FabricRailOptimized:
-		cluster = topo.BuildRailOptimized(spec)
-	case topo.FabricTopoOpt:
-		cluster = topo.BuildTopoOpt(spec)
-	case topo.FabricMixNet:
-		cluster = topo.BuildMixNet(spec)
-	default:
-		cluster = topo.BuildFatTree(spec)
+	cluster, err := topo.Build(kind, spec)
+	if err != nil {
+		return nil, fmt.Errorf("tenancy: %w", err)
 	}
 
 	cs := &CoSim{Cluster: cluster, cfg: cfg, merged: commplan.NewMergedExec()}
 	cs.merged.Contend = cfg.Contend
-	var err error
 	cs.backend, err = netsim.New(cfg.Config)
 	if err != nil {
 		return nil, fmt.Errorf("tenancy: %w", err)
@@ -369,8 +361,12 @@ func (cs *CoSim) RunRound() error {
 	return nil
 }
 
-// Run advances every tenant by iters iterations.
+// Run advances every tenant by iters iterations; a negative count is an
+// error, as in trainsim.Engine.Run.
 func (cs *CoSim) Run(iters int) error {
+	if iters < 0 {
+		return fmt.Errorf("tenancy: %d iterations", iters)
+	}
 	for i := 0; i < iters; i++ {
 		if err := cs.RunRound(); err != nil {
 			return err

@@ -2,6 +2,8 @@ package tenancy
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 
 	"mixnet/internal/failure"
@@ -29,6 +31,24 @@ func tinyJobs() []Job {
 
 func tinyConfig(backend string, workers int) Config {
 	return Config{Fabric: "mixnet", Config: netsim.Config{Backend: backend, Workers: workers}, LinkGbps: 100}
+}
+
+// timeSharedJobs pins both tiny tenants to servers 0-3. Static fabrics
+// accept overlapping slices (time-shared gang scheduling), so the tenants'
+// flows share the links they use; on MixNet's isolated slices they share
+// none.
+func timeSharedJobs() []Job {
+	jobs := tinyJobs()
+	for i := range jobs {
+		jobs[i].Base = 0
+	}
+	return jobs
+}
+
+func fatTreeConfig(backend string, workers int) Config {
+	c := tinyConfig(backend, workers)
+	c.Fabric = "fat-tree"
+	return c
 }
 
 // digest is the bitwise fingerprint of a tenant's per-iteration stats.
@@ -91,9 +111,10 @@ func runSerialReference(t *testing.T, cfg Config, jobs []Job, iters int) *CoSim 
 
 // Disjoint-slice tenants must reproduce their solo runs, priced step by
 // step, bitwise: a merged drain on one shared pool is a scheduling
-// optimisation, not a semantic change.
+// optimisation, not a semantic change. With GOMAXPROCS > 1 the analytic
+// backends price a merged round on parallel worker clones.
 func TestCoSimMatchesSerialBitwise(t *testing.T) {
-	for _, backend := range []string{"fluid", "packet"} {
+	for _, backend := range netsim.Names() {
 		cs := runCoSim(t, tinyConfig(backend, 2), tinyJobs(), 3)
 		serial := runSerialReference(t, tinyConfig(backend, 2), tinyJobs(), 3)
 		for i, tr := range cs.Tenants {
@@ -104,6 +125,42 @@ func TestCoSimMatchesSerialBitwise(t *testing.T) {
 		}
 		if s := cs.MergedStats(); s.WidthMax < 2 {
 			t.Fatalf("%s: merged frontier never fused cross-job steps: %+v", backend, s)
+		}
+	}
+}
+
+// AutoBase packs tenants contiguously in canonical (name) order, each on
+// its own run of isolated regions. The DP-2 tenant "a2", submitted last,
+// sorts between the tiny ones and spans twice their servers, so "b" moves
+// past it.
+func TestAutoBasePacking(t *testing.T) {
+	wide := Job{Name: "a2", Seed: 3, DP: 2, ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: AutoBase}
+	type placement struct {
+		name    string
+		base    int
+		regions string
+	}
+	for _, tc := range []struct {
+		jobs    []Job
+		servers int
+		want    []placement
+	}{
+		{tinyJobs(), 8, []placement{{"a", 0, "[0 1]"}, {"b", 4, "[2 3]"}}},
+		{append(tinyJobs(), wide), 16, []placement{{"a", 0, "[0 1]"}, {"a2", 4, "[2 3 4 5]"}, {"b", 12, "[6 7]"}}},
+	} {
+		cs, err := New(tinyConfig("fluid", 0), tc.jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(cs.Cluster.Servers); n != tc.servers {
+			t.Errorf("%d tenants: cluster has %d servers, want %d", len(tc.jobs), n, tc.servers)
+		}
+		for i, tr := range cs.Tenants {
+			w := tc.want[i]
+			if tr.Job.Name != w.name || tr.BaseServer != w.base || fmt.Sprint(tr.Regions) != w.regions {
+				t.Errorf("tenant %d is %q at base %d, regions %v; want %q at base %d, regions %s",
+					i, tr.Job.Name, tr.BaseServer, tr.Regions, w.name, w.base, w.regions)
+			}
 		}
 	}
 }
@@ -135,18 +192,18 @@ func TestCoSimDeterminism(t *testing.T) {
 // Contention pricing stays deterministic (worker counts, submission order)
 // and never makes a tenant faster than its solo run.
 func TestContendedCoSimDeterministicAndSlower(t *testing.T) {
-	cfg := tinyConfig("packet", 1)
+	cfg := fatTreeConfig("packet", 1)
 	cfg.Contend = true
-	ref := runCoSim(t, cfg, tinyJobs(), 2)
-	cfg8 := tinyConfig("packet", 8)
+	ref := runCoSim(t, cfg, timeSharedJobs(), 2)
+	cfg8 := fatTreeConfig("packet", 8)
 	cfg8.Contend = true
-	cs8 := runCoSim(t, cfg8, tinyJobs(), 2)
+	cs8 := runCoSim(t, cfg8, timeSharedJobs(), 2)
 	for i, tr := range ref.Tenants {
 		if digest(t, tr.Stats) != digest(t, cs8.Tenants[i].Stats) {
 			t.Fatalf("contended tenant %q diverged across worker counts", tr.Job.Name)
 		}
 	}
-	solo, err := RunSerial(tinyConfig("packet", 1), tinyJobs(), 2)
+	solo, err := RunSerial(fatTreeConfig("packet", 1), timeSharedJobs(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +218,69 @@ func TestContendedCoSimDeterministicAndSlower(t *testing.T) {
 	}
 	if s := ref.MergedStats(); s.FusedSteps == 0 {
 		t.Fatal("contended co-sim fused no cross-tenant steps")
+	}
+}
+
+// Disjoint slices need not mean disjoint links: on TopoOpt the neighbour's
+// traffic is forwarded through a tenant's hosts. Contention pricing must
+// show it (fluid: +19% for "a" at DP 4, +28% for "b" at DP 8).
+func TestContendedTopoOptPricesSharedHosts(t *testing.T) {
+	jobs := tinyJobs()
+	jobs[0].DP, jobs[1].DP = 4, 8 // 16 + 32 servers
+	cfg := tinyConfig("fluid", 0)
+	cfg.Fabric = "topoopt"
+	solo, err := RunSerial(cfg, jobs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Contend = true
+	cs := runCoSim(t, cfg, jobs, 2)
+	for i, tr := range cs.Tenants {
+		s, c := trainsim.MeanIterTime(solo.Tenants[i].Stats), trainsim.MeanIterTime(tr.Stats)
+		if !(c > 1.1*s) {
+			t.Errorf("tenant %q: contended mean %v, solo %v; want > 10%% slower", tr.Job.Name, c, s)
+		}
+	}
+	if cs.MergedStats().FusedSteps == 0 {
+		t.Error("no cross-tenant step was fused")
+	}
+}
+
+// Contention pricing changes a tenant's time only where its flows share a
+// link with a neighbour's. MixNet's isolated slices share none, so the
+// contended co-sim fuses nothing and reproduces the solo runs bitwise.
+func TestContendedDisjointTenantsMatchSolo(t *testing.T) {
+	for _, backend := range []string{"fluid", "packet"} {
+		solo := runSerialReference(t, tinyConfig(backend, 2), tinyJobs(), 3)
+		cfg := tinyConfig(backend, 2)
+		cfg.Contend = true
+		cs := runCoSim(t, cfg, tinyJobs(), 3)
+		for i, tr := range cs.Tenants {
+			if digest(t, tr.Stats) != digest(t, solo.Tenants[i].Stats) {
+				t.Errorf("%s: link-disjoint tenant %q changed under contention pricing", backend, tr.Job.Name)
+			}
+		}
+		if s := cs.MergedStats(); s.FusedSteps != 0 {
+			t.Errorf("%s: %d steps fused although no link is shared", backend, s.FusedSteps)
+		}
+	}
+}
+
+// The fused read-back takes each tenant's time from its flows' Finish
+// fields, which the analytic backends fill with serialization bounds only:
+// a contended run there is an error, not a neighbour that speeds a tenant
+// up.
+func TestContendedRejectsAnalytic(t *testing.T) {
+	for _, backend := range []string{"analytic", "analytic-ecmp"} {
+		cfg := tinyConfig(backend, 0)
+		cfg.Contend = true
+		cs, err := New(cfg, tinyJobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Run(1); err == nil {
+			t.Errorf("%s: contended co-sim accepted", backend)
+		}
 	}
 }
 
@@ -297,16 +417,34 @@ func TestCoSimValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	// A link rate that is not positive, or a negative reconfiguration delay.
+	// Numbers no run can mean: a link rate that is not a finite positive
+	// number, a negative or infinite reconfiguration delay, negative
+	// arbiter slots.
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.LinkGbps = -400 },
+		func(c *Config) { c.LinkGbps = math.Inf(1) },
 		func(c *Config) { c.ReconfigDelaySec = -1 },
+		func(c *Config) { c.ReconfigDelaySec = math.Inf(1) },
+		func(c *Config) { c.ArbiterSlots = -3 },
 	} {
 		cfg := tinyConfig("fluid", 0)
 		mut(&cfg)
 		if _, err := New(cfg, tinyJobs()); err == nil {
-			t.Fatalf("link rate %g Gbps, delay %gs accepted", cfg.LinkGbps, cfg.ReconfigDelaySec)
+			t.Fatalf("link rate %g Gbps, delay %gs, %d arbiter slots accepted",
+				cfg.LinkGbps, cfg.ReconfigDelaySec, cfg.ArbiterSlots)
 		}
+	}
+	if _, err := New(tinyConfig("fluid", 0), []Job{
+		{Name: "a", Model: moe.Mixtral8x7B.Name, DP: -1, Base: AutoBase},
+	}); err == nil {
+		t.Fatal("DP -1 accepted")
+	}
+	cs, err := New(tinyConfig("fluid", 0), tinyJobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Run(-1); err == nil {
+		t.Fatal("-1 iterations accepted")
 	}
 	// Mismatched EP-group spans on a reconfigurable fabric.
 	wide := tinyPlan
@@ -329,7 +467,7 @@ func TestCoSimValidation(t *testing.T) {
 	}
 	ft := tinyConfig("fluid", 0)
 	ft.Fabric = "fat-tree"
-	cs, err := New(ft, overlap)
+	cs, err = New(ft, overlap)
 	if err != nil {
 		t.Fatalf("overlapping fat-tree slices rejected: %v", err)
 	}

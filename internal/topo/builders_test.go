@@ -77,6 +77,34 @@ func TestOverSubReducesPorts(t *testing.T) {
 	}
 }
 
+func TestBuildByKind(t *testing.T) {
+	for _, kind := range []FabricKind{FabricFatTree, FabricOverSubFatTree, FabricRailOptimized, FabricTopoOpt, FabricMixNet} {
+		c, err := Build(kind, DefaultSpec(64, 100*Gbps))
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if c.Kind != kind {
+			t.Errorf("Build(%v) built %v", kind, c.Kind)
+		}
+		if err := c.G.Validate(); err != nil {
+			t.Errorf("%v: %v", kind, err)
+		}
+	}
+	// DefaultSpec is non-blocking (Oversub 1); the over-subscribed kind
+	// still tapers 3:1.
+	over, _ := Build(FabricOverSubFatTree, DefaultSpec(64, 100*Gbps))
+	spec := DefaultSpec(64, 100*Gbps)
+	spec.Oversub = 3
+	if want := BuildOverSubFatTree(spec).BOM; over.BOM != want {
+		t.Errorf("oversub BOM %+v, want the 3:1 taper %+v", over.BOM, want)
+	}
+	for _, kind := range []FabricKind{FabricNVL72, FabricMixNetCPO} {
+		if _, err := Build(kind, DefaultSpec(64, 100*Gbps)); err == nil {
+			t.Errorf("Build(%v) accepted a Spec; scale-up fabrics need a ScaleUpSpec", kind)
+		}
+	}
+}
+
 func TestRailOptimizedGroupsNICsByRail(t *testing.T) {
 	c := BuildRailOptimized(DefaultSpec(32, 100*Gbps))
 	if err := c.G.Validate(); err != nil {

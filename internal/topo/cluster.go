@@ -228,6 +228,38 @@ func (f FabricKind) String() string {
 	return fmt.Sprintf("fabric(%d)", uint8(f))
 }
 
+// Fabrics maps the CLI fabric names to the five evaluated fabrics.
+func Fabrics() map[string]FabricKind {
+	return map[string]FabricKind{
+		"fat-tree": FabricFatTree,
+		"oversub":  FabricOverSubFatTree,
+		"rail":     FabricRailOptimized,
+		"topoopt":  FabricTopoOpt,
+		"mixnet":   FabricMixNet,
+	}
+}
+
+// Build wires spec as one of the five evaluated fabrics — the one
+// kind-to-builder mapping the simulation entry points and the cost model
+// share. The over-subscribed fat-tree tapers 3:1 unless spec.Oversub says
+// otherwise. The §8 scale-up fabrics take a ScaleUpSpec and are an error
+// here.
+func Build(kind FabricKind, spec Spec) (*Cluster, error) {
+	switch kind {
+	case FabricFatTree:
+		return BuildFatTree(spec), nil
+	case FabricOverSubFatTree:
+		return BuildOverSubFatTree(spec), nil
+	case FabricRailOptimized:
+		return BuildRailOptimized(spec), nil
+	case FabricTopoOpt:
+		return BuildTopoOpt(spec), nil
+	case FabricMixNet:
+		return BuildMixNet(spec), nil
+	}
+	return nil, fmt.Errorf("topo: %v is not built from a Spec", kind)
+}
+
 // Cluster is a fully wired cluster: the graph, per-server inventory and the
 // bill of materials.
 type Cluster struct {

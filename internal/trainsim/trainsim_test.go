@@ -33,20 +33,9 @@ func tinySpec(servers int) topo.Spec {
 
 func newEngine(t *testing.T, kind topo.FabricKind, opts Options) *Engine {
 	t.Helper()
-	spec := tinySpec(4)
-	var c *topo.Cluster
-	switch kind {
-	case topo.FabricFatTree:
-		c = topo.BuildFatTree(spec)
-	case topo.FabricOverSubFatTree:
-		spec.Oversub = 3
-		c = topo.BuildOverSubFatTree(spec)
-	case topo.FabricTopoOpt:
-		c = topo.BuildTopoOpt(spec)
-	case topo.FabricMixNet:
-		c = topo.BuildMixNet(spec)
-	default:
-		t.Fatalf("unsupported kind %v", kind)
+	c, err := topo.Build(kind, tinySpec(4))
+	if err != nil {
+		t.Fatal(err)
 	}
 	e, err := New(tinyModel, tinyPlan, c, opts)
 	if err != nil {

@@ -111,7 +111,7 @@ func Simulate(cfg SimConfig) (Result, error) {
 	}
 	// Reverse-lookup the fabric's registry name over sorted keys so the
 	// choice is stable if two names ever alias one kind.
-	fabrics := scenario.Fabrics()
+	fabrics := topo.Fabrics()
 	names := make([]string, 0, len(fabrics))
 	for name := range fabrics {
 		names = append(names, name)
