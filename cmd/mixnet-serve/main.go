@@ -1,8 +1,8 @@
 // mixnet-serve is the long-running what-if query service: it answers
 // iteration-time, network-cost and failure-drill queries over HTTP/JSON,
-// reusing warm engines and memoized collective compilations across
-// queries so repeat questions about a configuration shape cost
-// milliseconds instead of a full build.
+// reusing warm engines (with their cached routes) across queries and
+// replaying identical queries from a result cache, so repeat questions
+// about a configuration shape skip the topology build.
 //
 // Usage:
 //
@@ -39,7 +39,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query execution timeout")
 		maxIdle  = flag.Int("pool-idle", 8, "max idle warm engines kept per configuration shape")
 		maxUses  = flag.Int("pool-uses", 1024, "leases before a pooled engine is retired (bounds a MixNet engine's growing link table)")
-		memoCap  = flag.Int("memo-cap", 0, "compile-memo entries per pooled engine (0 = package default)")
 		selftest = flag.Bool("selftest", false, "run the validation + load driver instead of serving")
 		benchOut = flag.String("bench-out", "BENCH_serve.json", "selftest report path")
 		window   = flag.Duration("window", time.Second, "selftest throughput window per client count")
@@ -63,7 +62,7 @@ func main() {
 	}
 
 	srv := serve.New(serve.Options{
-		Pool:    serve.NewPool(*maxIdle, *maxUses, *memoCap),
+		Pool:    serve.NewPool(*maxIdle, *maxUses, 0),
 		Workers: *workers,
 		Timeout: *timeout,
 	})

@@ -52,6 +52,10 @@ func main() {
 		list     = flag.Bool("list", false, "list models and scenarios, then exit")
 	)
 	flag.Parse()
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "-iters must be >= 1, got %d\n", *iters)
+		os.Exit(2)
+	}
 	exec := netsim.Config{Backend: *backend, CC: *cc, Workers: *workers}
 
 	if *list {
@@ -124,10 +128,6 @@ func main() {
 func runTenants(n int, cfg tenancy.Config, model string, dp, iters int, seed int64, mode, overlap string) {
 	if n < 2 {
 		fmt.Fprintf(os.Stderr, "-tenants needs >= 2 jobs, got %d\n", n)
-		os.Exit(2)
-	}
-	if iters < 1 {
-		fmt.Fprintf(os.Stderr, "-tenants needs -iters >= 1, got %d\n", iters)
 		os.Exit(2)
 	}
 	jobs := make([]tenancy.Job, n)

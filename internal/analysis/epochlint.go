@@ -9,8 +9,8 @@ import (
 // mutations (links added/failed/rewired) and invalidates routes; Growth()
 // counts folded-graph materializations, which relocate dense storage slots
 // *without* bumping the epoch. A cache that keys slot-dependent state on the
-// epoch alone (route caches, collective memos, commplan CSR snapshots) will
-// serve stale slot indices after a lazy materialization.
+// epoch alone (route caches, distance fields) will serve stale slot indices
+// after a lazy materialization.
 //
 // In the packages that maintain such caches, every epoch equality check must
 // live in a function that also consults the growth counter — or carry a

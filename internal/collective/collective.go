@@ -33,14 +33,6 @@ type Ctx struct {
 	nextID  int
 	pairSeq map[pairKey]uint8 // per-(src,dst) rotating ECMP salt
 	backend netsim.Backend
-	memo    *Memo // compiled-phase cache; nil only in the unmemoized test oracle
-
-	// keySeq counts compiles per memo key: the salt-ring variant slot the
-	// next compile of that key reads/records. It is per-run state like
-	// pairSeq, and ResetRunState rewinds both together.
-	keySeq    map[memoKey]uint32
-	memoStats MemoStats     // this context's own hit/miss/bypass counters
-	rec       *pairRecorder // active salt-draw recording, if any
 }
 
 // pairKey identifies an ordered endpoint pair for ECMP salt rotation.
@@ -68,42 +60,20 @@ func NewCtxWithBackend(c *topo.Cluster, b netsim.Backend) *Ctx {
 	return &Ctx{
 		Cluster: c, Router: topo.NewBFSRouter(c.G),
 		pairSeq: make(map[pairKey]uint8), backend: b,
-		memo: NewMemo(0),
 	}
 }
 
 // Backend returns the netsim backend the context simulates on.
 func (ctx *Ctx) Backend() netsim.Backend { return ctx.backend }
 
-// SetMemoCap rebounds the context's compile memo to n distinct keys
-// (n <= 0 selects DefaultMemoCap).
-func (ctx *Ctx) SetMemoCap(n int) { ctx.memo.SetCap(n) }
-
-// activeMemo syncs the compile memo to the graph's current epoch and
-// returns it, or nil when memoization is disabled.
-func (ctx *Ctx) activeMemo() *Memo {
-	if ctx.memo == nil {
-		return nil
-	}
-	ctx.memo.sync(ctx.Cluster.G.Epoch())
-	return ctx.memo
-}
-
-// MemoStats returns this context's compile-cache hit/miss/bypass counters,
-// cumulative over its lifetime. Safe only from the goroutine running
-// compilations.
-func (ctx *Ctx) MemoStats() MemoStats { return ctx.memoStats }
-
 // ResetRunState rewinds the context's per-run compilation state — flow ID
-// counter, per-pair ECMP salt rotation and per-key variant-slot cursors —
-// to the freshly built position, so a reused engine replays a run
-// byte-identically to a fresh one. Cached routes, compiled plans and the
-// cumulative MemoStats counters survive: they are exactly the cross-run
-// reuse a warm engine exists for.
+// counter and per-pair ECMP salt rotation — to the freshly built position,
+// so a reused engine replays a run byte-identically to a fresh one. Cached
+// routes survive: they are exactly the cross-run reuse a warm engine exists
+// for.
 func (ctx *Ctx) ResetRunState() {
 	ctx.nextID = 0
 	clear(ctx.pairSeq)
-	clear(ctx.keySeq)
 }
 
 // nextSalt returns the rotating ECMP salt for a pair and advances it.
@@ -114,9 +84,6 @@ func (ctx *Ctx) nextSalt(src, dst topo.NodeID) uint64 {
 	k := pairKey{src, dst}
 	s := ctx.pairSeq[k]
 	ctx.pairSeq[k] = (s + 1) % ecmpSpread
-	if ctx.rec != nil {
-		ctx.rec.note(k, s)
-	}
 	return uint64(s)
 }
 
@@ -190,12 +157,6 @@ func HierarchicalAllReduce(ctx *Ctx, servers []int, gatewayGPU int, bytes float6
 	if len(servers) == 0 || bytes <= 0 {
 		return nil, nil
 	}
-	return memoized(ctx, memoHier, hierShape(servers, gatewayGPU, bytes), func() (Phases, error) {
-		return hierarchicalAllReduce(ctx, servers, gatewayGPU, bytes)
-	})
-}
-
-func hierarchicalAllReduce(ctx *Ctx, servers []int, gatewayGPU int, bytes float64) (Phases, error) {
 	c := ctx.Cluster
 	var reduce, bcast []*netsim.Flow
 	gateways := make([]topo.NodeID, len(servers))
@@ -243,12 +204,6 @@ func hierarchicalAllReduce(ctx *Ctx, servers []int, gatewayGPU int, bytes float6
 // DirectAllToAll compiles the baseline all-to-all: rank i streams
 // demand[i][j] straight to rank j's GPU over whatever fabric routing finds.
 func DirectAllToAll(ctx *Ctx, gpus []topo.NodeID, demand *metrics.Matrix) (Phases, error) {
-	return memoized(ctx, memoDirect, directShape(gpus, demand), func() (Phases, error) {
-		return directAllToAll(ctx, gpus, demand)
-	})
-}
-
-func directAllToAll(ctx *Ctx, gpus []topo.NodeID, demand *metrics.Matrix) (Phases, error) {
 	var fs []*netsim.Flow
 	for i := 0; i < demand.Rows; i++ {
 		for j := 0; j < demand.Cols; j++ {

@@ -29,7 +29,6 @@ package commplan
 
 import (
 	"fmt"
-	"slices"
 
 	"mixnet/internal/netsim"
 	"mixnet/internal/topo"
@@ -109,16 +108,6 @@ type Plan struct {
 	batchIDs []int32
 	widths   []int
 
-	// CSR reuse: a training loop rebuilds the same DAG every iteration, so
-	// Execute snapshots the dependency structure after a CSR build and skips
-	// the rebuild while it matches (succ/succOff are untouched by the drain;
-	// only indeg is consumed, restored from the pristine copy).
-	csrOK    bool
-	prevDeps []int32
-	prevMeta []int64 // per step: depOff<<32 | depLen
-	indeg0   []int32
-	stats    Stats
-
 	// frontier-width accumulators.
 	batches  uint64
 	widthSum uint64
@@ -128,19 +117,10 @@ type Plan struct {
 	finish []float64
 }
 
-// Stats reports the plan's scheduling and compile-cache counters. Steps and
-// the CSR counters are maintained by Execute; the compile-cache counters and
-// fold factor are forwarded from the collective compiler via
-// SetCompileStats.
+// Stats reports the plan's shape and scheduling counters.
 type Stats struct {
-	Steps      int // steps in the current plan
-	ByKind     [KindCount]int
-	CSRBuilds  uint64  // Execute calls that rebuilt the successor CSR
-	CSRReuses  uint64  // Execute calls that reused the previous CSR
-	Hits       uint64  // collective compile-cache replays
-	Misses     uint64  // collective compile-cache fresh compiles
-	Bypasses   uint64  // cache entries skipped on salt-state divergence
-	FoldFactor float64 // topology fold factor (1 = fully materialized)
+	Steps  int // steps in the current plan
+	ByKind [KindCount]int
 
 	// Frontier widths over every batch Execute ever submitted: the widest
 	// single BatchMakespan call and the mean width. Dependency-free plans
@@ -153,29 +133,19 @@ type Stats struct {
 }
 
 // Stats returns the counters accumulated since the plan was created. Steps
-// and ByKind describe the current plan; the frontier and CSR counters are
+// and ByKind describe the current plan; the frontier counters are
 // cumulative across Execute calls.
 func (p *Plan) Stats() Stats {
-	s := p.stats
-	s.Steps = len(p.steps)
+	s := Stats{Steps: len(p.steps), FrontierMax: p.widthMax}
 	for i := range p.steps {
 		if k := int(p.steps[i].Kind); k < KindCount {
 			s.ByKind[k]++
 		}
 	}
-	s.FrontierMax = p.widthMax
 	if p.batches > 0 {
 		s.FrontierMean = float64(p.widthSum) / float64(p.batches)
 	}
 	return s
-}
-
-// SetCompileStats forwards the collective compiler's memoization counters
-// and the cluster's fold factor so callers can read everything through one
-// plan handle.
-func (p *Plan) SetCompileStats(hits, misses, bypasses uint64, foldFactor float64) {
-	p.stats.Hits, p.stats.Misses, p.stats.Bypasses = hits, misses, bypasses
-	p.stats.FoldFactor = foldFactor
 }
 
 // New returns an empty reusable plan.
@@ -336,48 +306,9 @@ func (p *Plan) grow(n int) {
 	}
 }
 
-// csrSame reports whether the current dependency structure matches the one
-// the successor CSR was last built from: same step count, same per-step
-// arena views, same arena content. A match implies grow performed no
-// reallocation (the previous build already demanded the same capacities), so
-// succ/succOff still hold that build's output.
-//
-//mixnet:noalloc
-func (p *Plan) csrSame(n int) bool {
-	if !p.csrOK || n != len(p.prevMeta) || len(p.deps) != len(p.prevDeps) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		s := &p.steps[i]
-		if p.prevMeta[i] != int64(s.depOff)<<32|int64(s.depLen) {
-			return false
-		}
-	}
-	return slices.Equal(p.deps, p.prevDeps)
-}
-
-// snapshotCSR records the dependency structure and pristine indegrees after
-// a CSR build so the next Execute can skip the rebuild.
-//
-//mixnet:noalloc
-func (p *Plan) snapshotCSR(n int, indeg []int32) {
-	p.prevDeps = append(p.prevDeps[:0], p.deps...)
-	p.indeg0 = append(p.indeg0[:0], indeg...)
-	if cap(p.prevMeta) < n {
-		p.prevMeta = make([]int64, n)
-	}
-	p.prevMeta = p.prevMeta[:n]
-	for i := 0; i < n; i++ {
-		s := &p.steps[i]
-		p.prevMeta[i] = int64(s.depOff)<<32 | int64(s.depLen)
-	}
-	p.csrOK = true
-}
-
-// prepExec builds or restores the successor CSR for the plan's current
-// steps and returns the working indegree slice, ready for a drain. Shared
-// by Execute and MergedExec: the CSR reuse bookkeeping (csrSame /
-// snapshotCSR) behaves identically whichever executor drains the plan.
+// prepExec builds the successor CSR for the plan's current steps and
+// returns the working indegree slice, ready for a drain. Shared by Execute
+// and MergedExec.
 //
 //mixnet:noalloc
 func (p *Plan) prepExec(n int) []int32 {
@@ -385,13 +316,6 @@ func (p *Plan) prepExec(n int) []int32 {
 	indeg := p.indeg[:n]
 	succOff := p.succOff[:n+1]
 	succ := p.succ[:len(p.deps)]
-	if p.csrSame(n) {
-		// Same DAG as the last build: succ/succOff still hold its CSR (the
-		// drain never writes them), only indeg needs restoring.
-		copy(indeg, p.indeg0[:n])
-		p.stats.CSRReuses++
-		return indeg
-	}
 	// Build the successor CSR from the dependency arena: succ lists, per
 	// step, the steps that wait on it.
 	for i := range succOff {
@@ -415,15 +339,13 @@ func (p *Plan) prepExec(n int) []int32 {
 	succOff[n] = sum
 	// Fill cursors advance succOff; succOff[i] ends up holding the end of
 	// i's successor range (start = previous end), which is the layout the
-	// drain and the reuse path both read.
+	// drain reads.
 	for i := 0; i < n; i++ {
 		for _, d := range p.Deps(i) {
 			succ[succOff[d]] = int32(i)
 			succOff[d]++
 		}
 	}
-	p.snapshotCSR(n, indeg)
-	p.stats.CSRBuilds++
 	return indeg
 }
 

@@ -39,8 +39,8 @@ func TestLargeScaleEcmpShape(t *testing.T) {
 		if r.BuildSec <= 0 || r.CompileSec <= 0 || r.WallSec <= 0 {
 			t.Errorf("%d GPUs: missing timings %+v", r.GPUs, r)
 		}
-		if r.MemoReplaySec <= 0 {
-			t.Errorf("%d GPUs: memo replay never hit", r.GPUs)
+		if r.RecompileSec <= 0 {
+			t.Errorf("%d GPUs: no recompile timing", r.GPUs)
 		}
 	}
 	if _, _, err := LargeScaleEcmp([]int{8}, 4, 1<<20); err == nil {

@@ -2,11 +2,11 @@
 // API answering iteration-time, network-cost and failure-drill queries
 // over the same engine construction path as mixnet.Simulate and the
 // scenario runner, with cross-query reuse — a keyed pool of warm engines
-// per configuration shape, each keeping its own bounded collective compile
-// memo, and a result cache — so repeat queries skip topology construction
-// and, while the fabric is unchanged, collective compilation. Responses
-// are byte-identical to the equivalent batch CLI run; the pool and caches
-// only change how fast they are produced.
+// per configuration shape, each keeping its own route cache, and a result
+// cache — so repeat queries skip topology construction and, while the
+// fabric is unchanged, route computation. Responses are byte-identical to
+// the equivalent batch CLI run; the pool and caches only change how fast
+// they are produced.
 package serve
 
 import (
@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mixnet/internal/collective"
 	"mixnet/internal/scenario"
 	"mixnet/internal/trainsim"
 )
@@ -34,11 +33,10 @@ type Pool struct {
 	// MaxIdle bounds idle engines kept per shape; MaxUses retires an
 	// engine after that many leases (reconfigurable fabrics accrete
 	// detached link records over their lifetime; retirement bounds that
-	// growth). MemoCap bounds the compile memo of each engine built.
-	maxIdle, maxUses, memoCap int
+	// growth).
+	maxIdle, maxUses int
 
-	hits, misses, evictions, restores  atomic.Uint64
-	memoHits, memoMisses, memoBypasses atomic.Uint64
+	hits, misses, evictions, restores atomic.Uint64
 }
 
 // pooledEngine is one warm engine plus the build-state hash Release
@@ -57,9 +55,8 @@ type Lease struct {
 	Warm   bool // true when the engine came from the pool, not a fresh build
 	pe     *pooledEngine
 	p      *Pool
-	epoch  uint64               // graph epoch at lease start
-	growth uint64               // graph growth (folded materializations) at lease start
-	memo   collective.MemoStats // engine's compile-cache counters at lease start
+	epoch  uint64 // graph epoch at lease start
+	growth uint64 // graph growth (folded materializations) at lease start
 }
 
 // PoolStats is a point-in-time snapshot of pool effectiveness counters.
@@ -73,16 +70,17 @@ type PoolStats struct {
 }
 
 // NewPool creates an engine pool. maxIdle <= 0 defaults to 8 idle engines
-// per shape, maxUses <= 0 to 1024 leases per engine, memoCap <= 0 to the
-// collective package's default bound on each engine's compile memo.
-func NewPool(maxIdle, maxUses, memoCap int) *Pool {
+// per shape, maxUses <= 0 to 1024 leases per engine. The third parameter is
+// unused: engines keep no compile cache to bound, and the parameter stays
+// so three-argument callers keep compiling.
+func NewPool(maxIdle, maxUses, _ int) *Pool {
 	if maxIdle <= 0 {
 		maxIdle = 8
 	}
 	if maxUses <= 0 {
 		maxUses = 1024
 	}
-	return &Pool{shapes: make(map[string][]*pooledEngine), maxIdle: maxIdle, maxUses: maxUses, memoCap: memoCap}
+	return &Pool{shapes: make(map[string][]*pooledEngine), maxIdle: maxIdle, maxUses: maxUses}
 }
 
 // ShapeKey canonicalizes a configuration to its engine-shape identity: the
@@ -138,7 +136,6 @@ func (p *Pool) Acquire(cfg scenario.Config) (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.SetMemoCap(p.memoCap)
 	p.misses.Add(1)
 	return p.lease(&pooledEngine{e: e, shape: key, buildSig: e.Cluster.G.StateHash()}, false), nil
 }
@@ -147,7 +144,7 @@ func (p *Pool) Acquire(cfg scenario.Config) (*Lease, error) {
 // lease against.
 func (p *Pool) lease(pe *pooledEngine, warm bool) *Lease {
 	g := pe.e.Cluster.G
-	return &Lease{Engine: pe.e, Warm: warm, pe: pe, p: p, epoch: g.Epoch(), growth: g.Growth(), memo: pe.e.MemoStats()}
+	return &Lease{Engine: pe.e, Warm: warm, pe: pe, p: p, epoch: g.Epoch(), growth: g.Growth()}
 }
 
 // Release returns a leased engine to the pool, or evicts it. damaged
@@ -168,17 +165,16 @@ func (p *Pool) lease(pe *pooledEngine, warm bool) *Lease {
 // its hash becomes the build hash; otherwise every drill after a folded
 // fat-tree's first lease would fail the hash check. A moved epoch is never
 // rewound: the epoch only increases, so every cache stamped before or
-// during the lease — routes, distance fields, compiled collectives — is
-// stale by stamp and rebuilds lazily, and no later mutation sequence can
-// land on a stamp it recorded. A lease that moved the epoch and passed the
-// hash check counts as a restore.
+// during the lease — routes and distance fields — is stale by stamp and
+// rebuilds lazily, and no later mutation sequence can land on a stamp it
+// recorded. A lease that moved the epoch and passed the hash check counts
+// as a restore.
 func (l *Lease) Release(damaged bool) {
 	p, pe := l.p, l.pe
 	l.p, l.pe, l.Engine = nil, nil, nil
 	if p == nil {
 		return
 	}
-	p.countMemo(l.memo, pe.e.MemoStats())
 	pe.uses++
 	if damaged || pe.uses >= p.maxUses || !pe.e.Pristine() {
 		p.evictions.Add(1)
@@ -209,20 +205,11 @@ func (l *Lease) Release(damaged bool) {
 
 // Evict discards the leased engine unconditionally.
 func (l *Lease) Evict() {
-	p, pe := l.p, l.pe
+	p := l.p
 	l.p, l.pe, l.Engine = nil, nil, nil
 	if p != nil {
-		p.countMemo(l.memo, pe.e.MemoStats())
 		p.evictions.Add(1)
 	}
-}
-
-// countMemo adds one lease's compile-cache traffic — the change in the
-// engine's cumulative counters from before to after — to the pool totals.
-func (p *Pool) countMemo(before, after collective.MemoStats) {
-	p.memoHits.Add(after.Hits - before.Hits)
-	p.memoMisses.Add(after.Misses - before.Misses)
-	p.memoBypasses.Add(after.Bypasses - before.Bypasses)
 }
 
 // Stats snapshots the pool counters. Safe to call concurrently with
@@ -241,14 +228,4 @@ func (p *Pool) Stats() PoolStats {
 	}
 	p.mu.Unlock()
 	return s
-}
-
-// MemoStats sums the compile-cache traffic of every finished lease. Safe
-// to call concurrently with queries.
-func (p *Pool) MemoStats() collective.MemoStats {
-	return collective.MemoStats{
-		Hits:     p.memoHits.Load(),
-		Misses:   p.memoMisses.Load(),
-		Bypasses: p.memoBypasses.Load(),
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mixnet"
-	"mixnet/internal/collective"
 	"mixnet/internal/netsim"
 	"mixnet/internal/scenario"
 	"mixnet/internal/topo"
@@ -65,10 +64,9 @@ type costQuery struct {
 // Meta carries per-query serving metadata alongside the result. Only the
 // result is deterministic; Meta is volatile (latency, cache warmth).
 type Meta struct {
-	Warm       bool                 `json:"warm"`             // engine came from the pool
-	Cached     bool                 `json:"cached,omitempty"` // result replayed from the result cache, no engine ran
-	EngineMemo collective.MemoStats `json:"engine_memo"`      // engine's cumulative compile-cache counters
-	ElapsedSec float64              `json:"elapsed_sec"`
+	Warm       bool    `json:"warm"`             // engine came from the pool
+	Cached     bool    `json:"cached,omitempty"` // result replayed from the result cache, no engine ran
+	ElapsedSec float64 `json:"elapsed_sec"`
 }
 
 type envelope struct {
@@ -113,8 +111,8 @@ type Server struct {
 
 // baselineCap bounds the baseline cache: distinct (shape, seed,
 // iterations) clean-run measurements kept for failure drills. Like the
-// pool's idle bound and the memo's entry cap, it keeps a long-running
-// service with an open-ended query mix from growing without bound.
+// pool's idle bound, it keeps a long-running service with an open-ended
+// query mix from growing without bound.
 const baselineCap = 128
 
 // resultCap bounds the served result cache: fully identical queries replay
@@ -218,7 +216,7 @@ func (s *Server) Pool() *Pool { return s.pool }
 //	POST /v1/iter    — training-iteration query: QueryConfig body, mixnet.Result result
 //	POST /v1/cost    — fabric pricing: costQuery body, mixnet.CostBreakdown result
 //	POST /v1/failure — failure drill: failureQuery body, scenario.Result result
-//	GET  /v1/stats   — pool/memo/query counters
+//	GET  /v1/stats   — pool/result-cache/query counters
 //	GET  /healthz    — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -268,13 +266,12 @@ type ResultCacheStats struct {
 
 // StatsCounters is the /v1/stats payload.
 type StatsCounters struct {
-	UptimeSec   float64              `json:"uptime_sec"`
-	Queries     uint64               `json:"queries"`
-	Timeouts    uint64               `json:"timeouts"`
-	Errors      uint64               `json:"errors"`
-	Pool        PoolStats            `json:"pool"`
-	Memo        collective.MemoStats `json:"memo"`
-	ResultCache ResultCacheStats     `json:"result_cache"`
+	UptimeSec   float64          `json:"uptime_sec"`
+	Queries     uint64           `json:"queries"`
+	Timeouts    uint64           `json:"timeouts"`
+	Errors      uint64           `json:"errors"`
+	Pool        PoolStats        `json:"pool"`
+	ResultCache ResultCacheStats `json:"result_cache"`
 }
 
 // StatsSnapshot assembles the live service counters; all reads are
@@ -289,7 +286,6 @@ func (s *Server) StatsSnapshot() StatsCounters {
 		Timeouts:  s.timeouts.Load(),
 		Errors:    s.errors.Load(),
 		Pool:      s.pool.Stats(),
-		Memo:      s.pool.MemoStats(),
 		ResultCache: ResultCacheStats{
 			Hits:      s.rcacheHits.Load(),
 			Misses:    s.rcacheMisses.Load(),
@@ -391,7 +387,6 @@ func (s *Server) runIter(q QueryConfig) (any, Meta, error) {
 	meta := Meta{Warm: lease.Warm}
 	e := lease.Engine
 	stats, err := e.Run(cfg.Iterations)
-	meta.EngineMemo = e.MemoStats()
 	res := mixnet.Result{
 		MeanIterTime: trainsim.MeanIterTime(stats),
 		Stats:        stats,
@@ -466,7 +461,6 @@ func (s *Server) runFailure(q failureQuery) (any, Meta, error) {
 	}
 	stats, runErr := e.Run(cfg.Iterations)
 	restore()
-	meta.EngineMemo = e.MemoStats()
 	lease.Release(runErr != nil)
 	if runErr != nil {
 		return nil, meta, fmt.Errorf("serve: drill %s: %w", q.Scenario, runErr)

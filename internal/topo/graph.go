@@ -139,7 +139,7 @@ func NewGraph() *Graph { return &Graph{blockRep: -1} }
 
 // Epoch returns a counter that increases on every mutation and never
 // decreases, so a cache stamped with any earlier value is stale. Route
-// caches and compile memos key on it and invalidate lazily on mismatch.
+// caches and distance fields key on it and invalidate lazily on mismatch.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // Growth returns a counter that changes whenever a folded graph

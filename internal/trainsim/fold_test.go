@@ -63,30 +63,3 @@ func TestFoldedEngineByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestFoldedEngineCompileStats: after enough iterations for the per-shape
-// salt ring to wrap, the engine's comm plan must report memo hits and CSR
-// reuses through CommPlan().Stats() — the steady-state compile path a
-// training loop actually pays for.
-func TestFoldedEngineCompileStats(t *testing.T) {
-	e := foldEngine(t, true, Options{Config: netsim.Config{Backend: "analytic"}})
-	if _, err := e.Run(18); err != nil {
-		t.Fatal(err)
-	}
-	st := e.CommPlan().Stats()
-	if st.Steps == 0 {
-		t.Fatal("comm plan recorded no steps")
-	}
-	if st.Misses == 0 {
-		t.Error("no memo misses counted — stats not wired")
-	}
-	if st.Hits == 0 {
-		t.Errorf("no memo hits after 18 iterations: %+v", st)
-	}
-	if st.CSRBuilds == 0 || st.CSRReuses == 0 {
-		t.Errorf("CSR builds/reuses = %d/%d, want both > 0", st.CSRBuilds, st.CSRReuses)
-	}
-	if st.FoldFactor < 1 {
-		t.Errorf("fold factor %v < 1", st.FoldFactor)
-	}
-}

@@ -154,8 +154,8 @@ func TestOverlapIterDeterministicAcrossWorkers(t *testing.T) {
 
 // TestOverlapCrossIterationWindow inspects the rolling plan itself: the
 // window must contain the next iteration's prefetched steps, fuse them
-// with this iteration's first drain, replay the carried layer-0 dispatch
-// as a zero-flow echo, and keep the CSR snapshot hitting across windows.
+// with this iteration's first drain, and replay the carried layer-0
+// dispatch as a zero-flow echo.
 func TestOverlapCrossIterationWindow(t *testing.T) {
 	e := newEngine(t, topo.FabricMixNet, Options{
 		GateSeed: 5, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
@@ -185,8 +185,7 @@ func TestOverlapCrossIterationWindow(t *testing.T) {
 	}
 
 	// Second iteration: the carried layer-0 dispatch replays as a zero-flow
-	// echo with the measured makespan, and the window shape matches, so the
-	// CSR snapshot is reused.
+	// echo with the measured makespan.
 	carried := e.carry
 	if !carried.valid || carried.a2a1 <= 0 {
 		t.Fatalf("no carry after the first window: %+v", carried)
@@ -200,9 +199,6 @@ func TestOverlapCrossIterationWindow(t *testing.T) {
 	}
 	if l0.Makespan != carried.a2a1 {
 		t.Errorf("carried echo makespan %v, want measured %v", l0.Makespan, carried.a2a1)
-	}
-	if got := e.cplan.Stats().CSRReuses; got == 0 {
-		t.Error("rolling window rebuilt its CSR despite identical shape")
 	}
 }
 

@@ -3,18 +3,16 @@ package trainsim
 import (
 	"errors"
 
-	"mixnet/internal/collective"
 	"mixnet/internal/moe"
 	"mixnet/internal/predict"
 )
 
 // Engine reuse for the long-running query service (cmd/mixnet-serve): a
 // warm engine skips topology construction and placement entirely, and —
-// while its graph epoch has not moved since they were recorded — replays
-// cached routes and memoized collective compilations from earlier queries.
-// The epoch only increases, so any mutation (a failure drill, a circuit
-// retarget, their reversal) retires those caches lazily and they rebuild
-// on demand. PrepareRun rewinds exactly the per-run state (gate
+// while its graph epoch has not moved since they were recorded — reuses
+// cached routes and distance fields from earlier queries. The epoch only
+// increases, so any mutation (a failure drill, a circuit retarget, their
+// reversal) retires those caches lazily and they rebuild on demand. PrepareRun rewinds exactly the per-run state (gate
 // randomness, flow/salt counters, overlap window) so a reused engine's
 // results are byte-identical to a freshly built one's; the pool layer
 // separately restores and verifies graph state (circuits, failure unwind)
@@ -39,9 +37,9 @@ func (e *Engine) Pristine() bool {
 // synthetic gate is rebuilt (same construction as New), Copilot estimators
 // restart untrained, the cross-iteration overlap window is discarded, and
 // the collective context's flow-ID and ECMP-salt counters rewind. Warm
-// state deliberately survives: cached routes, memoized compilations and
-// grown scratch buffers are the reuse a pooled engine exists for, and none
-// of them influence results — only speed.
+// state deliberately survives: cached routes and grown scratch buffers are
+// the reuse a pooled engine exists for, and neither influences results —
+// only speed.
 //
 // It errors on engines with an external iteration source (a trace cannot
 // be reseeded) or unreversed failure state; callers should evict such
@@ -76,12 +74,3 @@ func (e *Engine) PrepareRun(gateSeed int64) error {
 	e.ctx.ResetRunState()
 	return nil
 }
-
-// SetMemoCap bounds the engine's collective compile memo to n distinct
-// keys (n <= 0 selects collective.DefaultMemoCap).
-func (e *Engine) SetMemoCap(n int) { e.ctx.SetMemoCap(n) }
-
-// MemoStats returns the engine's cumulative compile-cache counters (hits
-// prove a query skipped compilation). Safe only between runs — the
-// counters are written by the run itself.
-func (e *Engine) MemoStats() collective.MemoStats { return e.ctx.MemoStats() }

@@ -236,8 +236,8 @@ type prefixSteps struct {
 // prefixCarry replays the prefetched layer-0 work in the next iteration:
 // its dispatch A2A was compiled and simulated as part of the previous
 // window (while its circuits were installed), so the next iteration
-// substitutes zero-flow echo steps carrying the measured values — the
-// dependency arena keeps the same shape, so the CSR snapshot still matches.
+// substitutes zero-flow echo steps carrying the measured values instead of
+// recompiling it; the window keeps the same step and dependency shape.
 type prefixCarry struct {
 	valid  bool
 	block1 float64 // residual blocking cost of the prefetched reconfiguration
@@ -823,8 +823,6 @@ func (e *Engine) FinishIteration() (IterStats, error) {
 	stats := &e.pend.stats
 	bwdLo, bwdHi, dpStep := e.pend.bwdLo, e.pend.bwdHi, e.pend.dpStep
 	ov := e.overlap != overlapNone
-	ms := e.ctx.MemoStats()
-	e.cplan.SetCompileStats(ms.Hits, ms.Misses, ms.Bypasses, e.Cluster.FoldFactor())
 	if ov {
 		// Patch the backward gradient-A2A echoes from the measured forward
 		// makespans (safe after Execute: zero-flow steps never influence
