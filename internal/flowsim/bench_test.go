@@ -11,13 +11,18 @@ import (
 // smallest topology where an all-to-all contends on every access link.
 func star(hosts int, bps float64) (*topo.Graph, []topo.NodeID) {
 	g := topo.NewGraph()
+	return g, addStar(g, hosts, bps)
+}
+
+// addStar adds one star to g and returns its hosts.
+func addStar(g *topo.Graph, hosts int, bps float64) []topo.NodeID {
 	sw := g.AddNode(topo.KindTor, "sw", -1, -1, -1)
 	nodes := make([]topo.NodeID, hosts)
 	for i := range nodes {
 		nodes[i] = g.AddNode(topo.KindNIC, "", -1, -1, -1)
 		g.AddDuplex(nodes[i], sw, bps, 1e-6)
 	}
-	return g, nodes
+	return nodes
 }
 
 // allToAllFlows emits one flow per ordered host pair (hosts*(hosts-1)).
@@ -47,8 +52,37 @@ func benchScenario() (*topo.Graph, []*Flow) {
 	return g, allToAllFlows(g, nodes)
 }
 
+// disjointScenario is the case component-scoped refills speed up: eight
+// link-disjoint 6-host stars, each running an all-to-all (240 flows in
+// all) whose flow sizes are staggered within and across stars, so most
+// completions change one star while the other seven keep their rates.
+func disjointScenario() (*topo.Graph, []*Flow) {
+	g := topo.NewGraph()
+	stars := make([][]topo.NodeID, 8)
+	for k := range stars {
+		stars[k] = addStar(g, 6, 100e9)
+	}
+	var flows []*Flow
+	for k, nodes := range stars {
+		for i, f := range allToAllFlows(g, nodes) {
+			f.ID = len(flows)
+			f.Bytes = 1e7 * float64(10+k) * float64(1+i%7)
+			flows = append(flows, f)
+		}
+	}
+	return g, flows
+}
+
 func BenchmarkSimulateAllToAll1056(b *testing.B) {
-	g, flows := benchScenario()
+	benchSimulate(b, benchScenario)
+}
+
+func BenchmarkSimulateDisjoint(b *testing.B) {
+	benchSimulate(b, disjointScenario)
+}
+
+func benchSimulate(b *testing.B, scenario func() (*topo.Graph, []*Flow)) {
+	g, flows := scenario()
 	sim := NewSim()
 	if _, err := sim.Simulate(g, flows); err != nil { // warm buffers
 		b.Fatal(err)
@@ -81,24 +115,28 @@ func BenchmarkComputeMaxMin(b *testing.B) {
 
 // TestSimulateSteadyStateZeroAllocs guards the tentpole property: once a
 // Sim's buffers are warm, rate recomputation and the full Simulate loop
-// perform zero heap allocations.
+// perform zero heap allocations, on one component and on many.
 func TestSimulateSteadyStateZeroAllocs(t *testing.T) {
-	g, flows := benchScenario()
-	sim := NewSim()
-	if _, err := sim.Simulate(g, flows); err != nil { // warm buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := sim.Simulate(g, flows); err != nil {
+	for name, scenario := range map[string]func() (*topo.Graph, []*Flow){
+		"all-to-all": benchScenario, "disjoint": disjointScenario,
+	} {
+		g, flows := scenario()
+		sim := NewSim()
+		if _, err := sim.Simulate(g, flows); err != nil { // warm buffers
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Sim.Simulate steady state allocates %v objects/run, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(10, func() { sim.computeMaxMin(g, flows) })
-	if allocs != 0 {
-		t.Errorf("computeMaxMin steady state allocates %v objects/run, want 0", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := sim.Simulate(g, flows); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Sim.Simulate steady state allocates %v objects/run, want 0", name, allocs)
+		}
+		allocs = testing.AllocsPerRun(10, func() { sim.computeMaxMin(g, flows) })
+		if allocs != 0 {
+			t.Errorf("%s: computeMaxMin steady state allocates %v objects/run, want 0", name, allocs)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 // Package flowsim is a fluid (flow-level) network simulator: concurrent
-// flows share link capacity according to max-min fairness, recomputed by
-// progressive filling at every flow arrival and completion.
+// flows share link capacity according to max-min fairness, computed by
+// progressive filling. After the first refill, an arrival or completion
+// re-rates only the active flows of the link-disjoint components it
+// changed, and every other flow keeps its rate; a Simulate call labels its
+// flows into components once, when it needs a second refill.
 //
 // It is the fast substrate used for the paper's large-scale sweeps
 // (1024–32768 GPUs); internal/packetsim is the high-fidelity packet-level
@@ -35,6 +38,7 @@ type Flow struct {
 
 	remaining float64
 	rate      float64
+	comp      int32 // link-disjoint component: its root link slot, set by label
 	frozen    bool
 	started   bool
 	done      bool
@@ -43,7 +47,11 @@ type Flow struct {
 // Result summarises one Simulate run.
 type Result struct {
 	Makespan float64 // completion time of the last flow
-	Events   int     // number of rate recomputations
+	// Events is the number of flow rates progressive filling assigned,
+	// summed over events: each refill counts the active flows of the
+	// components that changed. When every flow shares one component it is
+	// the sum of the active flows over all events.
+	Events int
 }
 
 // Sim is a reusable simulation engine. The zero value is ready to use; a
@@ -53,19 +61,24 @@ type Result struct {
 type Sim struct {
 	pending []*Flow
 	active  []*Flow
+	prev    []*Flow // the active set before the last progress step; the next one is written here
+	refill  []*Flow // active flows of the changed components, in active order
 	arena   linkArena
 }
 
-// linkArena is the dense per-link state for progressive filling: slices
-// indexed by link storage slot (topo.Graph.LinkIndex — the identity on
-// eager graphs, so folded graphs only pay for materialized links),
-// validity tracked by an epoch stamp so reset is O(1) and only links
-// actually crossed by active flows (the touched list) are ever visited.
+// linkArena is the dense per-link state for progressive filling and for
+// labelling components: slices indexed by link storage slot
+// (topo.Graph.LinkIndex — the identity on eager graphs, so folded graphs
+// only pay for materialized links), validity tracked by an epoch stamp so
+// reset is O(1) and only links actually crossed by active flows (the
+// touched list) are ever visited.
 type linkArena struct {
 	epoch   uint32
 	stamp   []uint32  // stamp[l] == epoch => cap/count valid for slot l
 	cap     []float64 // remaining capacity, bytes/s
 	count   []int32   // unfrozen flows crossing the link
+	parent  []int32   // union-find over the call's link slots, valid where stamped by label
+	dirty   []bool    // component root slot -> changed since the last refill, set by changedFlows
 	touched []int32   // link storage slots referenced by the active set (not IDs)
 }
 
@@ -78,6 +91,8 @@ func (a *linkArena) reset(nLinks int) {
 		a.stamp = make([]uint32, nLinks)
 		a.cap = make([]float64, nLinks)
 		a.count = make([]int32, nLinks)
+		a.parent = make([]int32, nLinks)
+		a.dirty = make([]bool, nLinks)
 	}
 	a.epoch++
 	if a.epoch == 0 { // wrapped: stamps from the previous cycle are stale
@@ -106,6 +121,14 @@ func Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 }
 
 // Simulate runs one fluid simulation reusing the Sim's buffers.
+//
+// Disjoint components share no link, so refilling only the changed ones
+// leaves every other flow at the rate a full refill would give it, with one
+// exception: progressive filling freezes a flow at the tightest fair share
+// of the whole refill when its own is within the 1e-12 relative tolerance,
+// so components whose shares tie that closely can differ in the last bits.
+// The event loop, the time steps and the remaining-bytes updates are the
+// same as a full refill's.
 func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 	var res Result
 	if len(flows) == 0 {
@@ -115,6 +138,12 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 	for _, f := range flows {
 		if f.Bytes < 0 {
 			return res, fmt.Errorf("flowsim: flow %d negative bytes", f.ID)
+		}
+		// Progressive filling never drains an infinite or NaN flow, and a NaN
+		// start is never admitted: either would spin the event loop forever.
+		// The comparisons are false for NaN.
+		if !(f.Bytes <= math.MaxFloat64) || !(math.Abs(f.Start) <= math.MaxFloat64) {
+			return res, fmt.Errorf("flowsim: flow %d non-finite bytes %g or start %g", f.ID, f.Bytes, f.Start)
 		}
 		for _, lid := range f.Path {
 			l := g.Link(lid)
@@ -145,7 +174,14 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 	})
 	nextPending := 0
 
-	active := s.active[:0]
+	active, prev := s.active[:0], s.prev[:0]
+	// The first refill rates every active flow, so the components are
+	// labelled only when a second refill comes. A refill's changes are the
+	// flows admitted since the last one, pending[admitted:nextPending], and
+	// the flows the progress step in between retired, the done ones in prev.
+	comps := 0 // link-disjoint components; 0 until labelled
+	refilled, changed := false, false
+	admitted := 0
 	now := 0.0
 	if len(pending) > 0 {
 		now = pending[0].Start
@@ -167,6 +203,7 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 				continue
 			}
 			active = append(active, f)
+			changed = true
 		}
 		if len(active) == 0 {
 			if nextPending < len(pending) {
@@ -176,14 +213,25 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 			break
 		}
 
-		s.computeMaxMin(g, active)
-		res.Events++
+		if changed {
+			refill := active
+			if refilled && comps == 0 {
+				comps = s.label(g, flows)
+			}
+			if comps > 1 {
+				refill = s.changedFlows(active, prev, pending[admitted:nextPending])
+			}
+			s.computeMaxMin(g, refill)
+			res.Events += len(refill)
+			refilled, changed = true, false
+			admitted = nextPending
+		}
 
 		// Time to next completion among active flows.
 		dt := math.Inf(1)
 		for _, f := range active {
 			if f.rate <= 0 {
-				s.release(pending, active)
+				s.release(pending, active, prev)
 				return res, fmt.Errorf("flowsim: flow %d starved (rate 0)", f.ID)
 			}
 			if t := f.remaining / f.rate; t < dt {
@@ -197,8 +245,13 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 			}
 		}
 		now += dt
-		// Progress all active flows; retire completed ones.
-		out := active[:0]
+		// Progress all active flows; retire completed ones. The survivors go
+		// to the other buffer, grown with active so that a call which
+		// retires every flow at once still leaves both buffers sized.
+		if cap(prev) < len(active) {
+			prev = make([]*Flow, 0, cap(active))
+		}
+		out := prev[:0]
 		for _, f := range active {
 			f.remaining -= f.rate * dt
 			if f.remaining <= 1e-9*math.Max(1, f.Bytes) {
@@ -207,13 +260,14 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 				if f.Finish > res.Makespan {
 					res.Makespan = f.Finish
 				}
+				changed = true
 				continue
 			}
 			out = append(out, f)
 		}
-		active = out
+		active, prev = out, active
 	}
-	s.release(pending, active)
+	s.release(pending, active, prev)
 	return res, nil
 }
 
@@ -221,11 +275,107 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 // flow pointers so a pooled Sim does not pin the last caller's flow set.
 //
 //mixnet:noalloc
-func (s *Sim) release(pending, active []*Flow) {
+func (s *Sim) release(pending, active, prev []*Flow) {
 	clear(pending)
 	clear(active[:cap(active)])
+	clear(prev[:cap(prev)])
+	clear(s.refill[:cap(s.refill)])
 	s.pending = pending[:0]
 	s.active = active[:0]
+	s.prev = prev[:0]
+	s.refill = s.refill[:0]
+}
+
+// label unions the link slots of every flow that can become active
+// (positive bytes over a non-empty path) in a union-find with path
+// halving, the arena's epoch stamps marking the call's links as in
+// netsim.Partitioner, and leaves each flow's root slot in comp. Flows that
+// have not started yet are labelled too, which can only merge components.
+// It clears the components' dirty marks and returns their number.
+//
+//mixnet:noalloc
+func (s *Sim) label(g *topo.Graph, flows []*Flow) int {
+	a := &s.arena
+	a.reset(len(g.Links))
+	comps := 0
+	for _, f := range flows {
+		if f.Bytes == 0 || len(f.Path) == 0 {
+			continue
+		}
+		r := int32(-1) // root of the flow's links so far
+		for _, lid := range f.Path {
+			li := g.LinkIndex(lid)
+			if a.stamp[li] != a.epoch {
+				a.stamp[li] = a.epoch
+				if r < 0 {
+					r = li
+					comps++
+				}
+				a.parent[li] = r
+				continue
+			}
+			// Hang the flow's links under the older tree, which keeps the
+			// trees shallow when many flows share one link.
+			if lr := a.root(li); r < 0 {
+				r = lr
+			} else if lr != r {
+				a.parent[r] = lr
+				r = lr
+				comps--
+			}
+		}
+	}
+	for _, f := range flows {
+		if f.Bytes != 0 && len(f.Path) != 0 {
+			f.comp = a.root(g.LinkIndex(f.Path[0]))
+			a.dirty[f.comp] = false
+		}
+	}
+	return comps
+}
+
+// root resolves link slot li's union-find root with path halving.
+//
+//mixnet:noalloc
+func (a *linkArena) root(li int32) int32 {
+	for a.parent[li] != li {
+		a.parent[li] = a.parent[a.parent[li]]
+		li = a.parent[li]
+	}
+	return li
+}
+
+// changedFlows returns the active flows of the components that changed
+// since the last refill, in active order: those of the flows that arrived
+// and of the done flows in prev, which the last progress step retired. A
+// component left without active flows keeps its mark until the next label;
+// it has nothing to re-rate, and a flow that later joins it arrives and
+// marks it anyway.
+//
+//mixnet:noalloc
+func (s *Sim) changedFlows(active, prev, arrived []*Flow) []*Flow {
+	dirty := s.arena.dirty
+	for _, f := range arrived {
+		if f.Bytes != 0 && len(f.Path) != 0 {
+			dirty[f.comp] = true
+		}
+	}
+	for _, f := range prev {
+		if f.done {
+			dirty[f.comp] = true
+		}
+	}
+	refill := s.refill[:0]
+	for _, f := range active {
+		if dirty[f.comp] {
+			refill = append(refill, f)
+		}
+	}
+	for _, f := range refill {
+		dirty[f.comp] = false
+	}
+	s.refill = refill
+	return refill
 }
 
 // computeMaxMin assigns max-min fair rates (bytes/s) to the active flows by

@@ -188,6 +188,36 @@ func TestNonPositiveCapacityErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFlowErrors: an infinite or NaN size or start is rejected
+// instead of spinning the event loop forever or, for an infinite start,
+// reporting an infinite makespan.
+func TestNonFiniteFlowErrors(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name         string
+		bytes, start float64
+	}{
+		{"+Inf bytes", inf, 0}, {"NaN bytes", nan, 0},
+		{"NaN start", 1 << 20, nan}, {"+Inf start", 1 << 20, inf},
+	} {
+		g, nodes := chain(80e9, 1)
+		rt := route(t, g, nodes[0], nodes[1])
+		done := make(chan error, 1)
+		go func() {
+			_, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: c.bytes, Start: c.start}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: flow accepted", c.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Simulate did not return", c.name)
+		}
+	}
+}
+
 func TestNegativeBytesErrors(t *testing.T) {
 	g, nodes := chain(80e9, 1)
 	rt := route(t, g, nodes[0], nodes[1])
@@ -294,5 +324,53 @@ func TestPropertyMonotoneUnderLoad(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEventsCountsReratedFlows pins Result.Events by hand. Two
+// link-disjoint chains of one 10 GB/s link each carry two flows apiece,
+// with staggered sizes:
+//
+//	t=0     all four arrive; both chains are re-rated: 4 rates (5 GB/s each)
+//	t=1     a1 (5 GB) retires; only chain A is re-rated: 1 rate (a2)
+//	t=1.5   b1 (7.5 GB) retires; only chain B is re-rated: 1 rate (b2)
+//	t=2     a2 (15 GB) retires; chain A has no active flow left: 0 rates
+//	t=3.25  b2 (25 GB) retires and the run ends
+//
+// so Events is 6, where a full refill at every event would assign
+// 4+3+2+1 = 10 rates. The same four flows on one link are one component,
+// and Events is the sum of the active flows over all events: 4+3+2+1 = 10.
+func TestEventsCountsReratedFlows(t *testing.T) {
+	g := topo.NewGraph()
+	a0, a1 := g.AddNode(topo.KindNIC, "", -1, -1, -1), g.AddNode(topo.KindNIC, "", -1, -1, -1)
+	b0, b1 := g.AddNode(topo.KindNIC, "", -1, -1, -1), g.AddNode(topo.KindNIC, "", -1, -1, -1)
+	g.AddDuplex(a0, a1, 80e9, 0)
+	g.AddDuplex(b0, b1, 80e9, 0)
+	ra, rb := route(t, g, a0, a1), route(t, g, b0, b1)
+	for _, c := range []struct {
+		name   string
+		pathB  topo.Route
+		events int
+		finish [4]float64 // a1, a2, b1, b2
+	}{
+		{"two chains", rb, 6, [4]float64{1, 2, 1.5, 3.25}},
+		{"one chain", ra, 10, [4]float64{2, 4.25, 2.75, 5.25}},
+	} {
+		flows := []*Flow{
+			{ID: 1, Path: ra, Bytes: 5e9}, {ID: 2, Path: ra, Bytes: 15e9},
+			{ID: 3, Path: c.pathB, Bytes: 7.5e9}, {ID: 4, Path: c.pathB, Bytes: 25e9},
+		}
+		res, err := Simulate(g, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Events != c.events {
+			t.Errorf("%s: Events = %d, want %d", c.name, res.Events, c.events)
+		}
+		for i, f := range flows {
+			if math.Abs(f.Finish-c.finish[i]) > 1e-9 {
+				t.Errorf("%s: flow %d Finish = %v, want %v", c.name, f.ID, f.Finish, c.finish[i])
+			}
+		}
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"mixnet/internal/topo"
 )
 
-// Fluid is the flow-level backend: max-min fair sharing recomputed by
-// progressive filling at every flow arrival/completion (internal/flowsim).
+// Fluid is the flow-level backend: max-min fair sharing by progressive
+// filling (internal/flowsim), re-rated at each flow arrival or completion
+// for the link-disjoint flow components it changed.
 // It reuses the embedded Sim's arena plus a flow-conversion buffer, so
 // repeated Makespan calls over same-sized phases perform zero steady-state
 // heap allocations.
