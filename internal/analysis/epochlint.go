@@ -27,7 +27,7 @@ var EpochLint = &Analyzer{
 // generation counters and are deliberately out of scope.
 var epochScopedPkgs = map[string]bool{
 	"topo": true, "collective": true, "commplan": true,
-	"trainsim": true, "scenario": true, "core": true,
+	"trainsim": true, "scenario": true,
 }
 
 func runEpochLint(pass *Pass) error {

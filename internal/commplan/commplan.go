@@ -17,9 +17,13 @@
 // of two adjacent iterations in a rolling window — still fuse into one
 // batch.
 //
+// One drain loop serves every caller: Plan.Execute is the one-plan case of
+// MergedExec, which fuses several co-scheduled jobs' frontiers
+// (internal/tenancy) into each backend call.
+//
 // Results are deterministic and byte-identical to pricing every step alone:
 // a step's makespan and per-flow finish times never depend on which other
-// steps shared its batch, and Execute visits steps in a deterministic
+// steps shared its batch, and the drain visits steps in a deterministic
 // topological-ready order (the initial frontier in ID order, then steps in
 // the order their last dependency resolved). A Plan is reusable — Reset
 // keeps all step, dependency and scheduling arenas, so steady-state plan
@@ -28,8 +32,6 @@
 package commplan
 
 import (
-	"fmt"
-
 	"mixnet/internal/netsim"
 	"mixnet/internal/topo"
 )
@@ -99,19 +101,14 @@ type Plan struct {
 	steps []Step
 	deps  []int32 // flat dependency arena: steps[i].deps = deps[depOff:depOff+depLen]
 
-	// Execute scratch, reused across iterations.
+	// drain scratch, reused across iterations.
 	indeg    []int32
 	succOff  []int32 // per-step successor offsets into succ (CSR)
 	succ     []int32
 	frontier []int32
-	batch    []netsim.Phases
-	batchIDs []int32
-	widths   []int
-
-	// frontier-width accumulators.
-	batches  uint64
-	widthSum uint64
-	widthMax int
+	widths   []int      // this plan's width in each round of the last drain
+	fronts   widthStats // cumulative over every drain
+	exec     MergedExec // Execute's one-plan drain
 
 	// MakespanWindow scratch: per-step finish times within the window.
 	finish []float64
@@ -122,30 +119,49 @@ type Stats struct {
 	Steps  int // steps in the current plan
 	ByKind [KindCount]int
 
-	// Frontier widths over every batch Execute ever submitted: the widest
-	// single BatchMakespan call and the mean width. Dependency-free plans
-	// collapse into one wide drain; overlap-aware plans trade width for
-	// dependency fidelity, with the rolling window's first drain still
-	// fusing steps of two adjacent iterations (this DP all-reduce with the
-	// next dispatch A2A).
+	// Frontier widths over every round of every drain the plan took part
+	// in, counting only its own steps: the widest round and the mean
+	// width. Dependency-free plans collapse into one wide drain;
+	// overlap-aware plans trade width for dependency fidelity, with the
+	// rolling window's first drain still fusing steps of two adjacent
+	// iterations (this DP all-reduce with the next dispatch A2A).
 	FrontierMax  int
 	FrontierMean float64
 }
 
 // Stats returns the counters accumulated since the plan was created. Steps
 // and ByKind describe the current plan; the frontier counters are
-// cumulative across Execute calls.
+// cumulative across drains (Execute and MergedExec.Execute alike).
 func (p *Plan) Stats() Stats {
-	s := Stats{Steps: len(p.steps), FrontierMax: p.widthMax}
+	s := Stats{Steps: len(p.steps), FrontierMax: p.fronts.max, FrontierMean: p.fronts.mean()}
 	for i := range p.steps {
 		if k := int(p.steps[i].Kind); k < KindCount {
 			s.ByKind[k]++
 		}
 	}
-	if p.batches > 0 {
-		s.FrontierMean = float64(p.widthSum) / float64(p.batches)
-	}
 	return s
+}
+
+// widthStats accumulates frontier widths.
+type widthStats struct {
+	rounds, sum uint64
+	max         int
+}
+
+//mixnet:noalloc
+func (w *widthStats) record(n int) {
+	w.rounds++
+	w.sum += uint64(n)
+	if n > w.max {
+		w.max = n
+	}
+}
+
+func (w *widthStats) mean() float64 {
+	if w.rounds == 0 {
+		return 0
+	}
+	return float64(w.sum) / float64(w.rounds)
 }
 
 // New returns an empty reusable plan.
@@ -188,7 +204,7 @@ func (p *Plan) Add(kind Kind, layer int, phases netsim.Phases, delay float64) in
 // AddDep records that step waits on dep. Dependencies of a step must be
 // added before the next step is added (the arena is append-only), and dep
 // must be an already-added step — together these make a Plan acyclic by
-// construction (edges always point backward); Execute's cycle check is
+// construction (edges always point backward); the drain's cycle check is
 // defence in depth only.
 //
 //mixnet:noalloc
@@ -212,9 +228,11 @@ func (p *Plan) Deps(id int) []int32 {
 	return p.deps[s.depOff : s.depOff+int32(s.depLen)]
 }
 
-// BatchWidths reports the simulated-step count of each batch the last
-// Execute submitted, in submission order. The slice is valid until the
-// next Execute or Reset.
+// BatchWidths reports, for each round of the last drain that priced any of
+// this plan's steps, how many of them that round's backend call carried, in
+// round order; the widths sum to the plan's simulated-step count. Execute
+// and MergedExec.Execute both record them. The slice is valid until the
+// next drain or Reset.
 func (p *Plan) BatchWidths() []int { return p.widths }
 
 // Makespans sums the simulated makespans of every step of the given kind —
@@ -227,18 +245,6 @@ func (p *Plan) Makespans(kind Kind) float64 {
 		}
 	}
 	return s
-}
-
-// recordWidth folds one submitted batch's width into the cumulative
-// frontier statistics.
-//
-//mixnet:noalloc
-func (p *Plan) recordWidth(w int) {
-	p.batches++
-	p.widthSum += uint64(w)
-	if w > p.widthMax {
-		p.widthMax = w
-	}
 }
 
 // MakespanWindow returns the critical-path length of the step range
@@ -295,8 +301,6 @@ func (p *Plan) grow(n int) {
 		p.indeg = make([]int32, n)
 		p.succOff = make([]int32, n+1)
 		p.frontier = make([]int32, 0, n)
-		p.batch = make([]netsim.Phases, 0, n)
-		p.batchIDs = make([]int32, 0, n)
 	}
 	if cap(p.succ) < len(p.deps) {
 		p.succ = make([]int32, len(p.deps))
@@ -307,8 +311,7 @@ func (p *Plan) grow(n int) {
 }
 
 // prepExec builds the successor CSR for the plan's current steps and
-// returns the working indegree slice, ready for a drain. Shared by Execute
-// and MergedExec.
+// returns the working indegree slice, ready for a drain.
 //
 //mixnet:noalloc
 func (p *Plan) prepExec(n int) []int32 {
@@ -368,73 +371,14 @@ func (p *Plan) releaseInto(id int32, indeg []int32, queue []int32) []int32 {
 	return queue
 }
 
-// Execute simulates the plan on b over g: every frontier of ready simulated
-// steps is submitted as one BatchMakespan call (zero-flow steps resolve for
-// free and immediately release their successors into the same frontier).
-// Per-step makespans and per-flow finish times are byte-identical to
-// pricing each step alone with Makespan in ID order, at every backend
-// worker count: steps are independent simulations, so what shares a batch
-// cannot influence results.
+// Execute simulates the plan on b over g: the one-plan case of
+// MergedExec.Execute. Every frontier of ready simulated steps is submitted
+// as one BatchMakespan call (zero-flow steps resolve for free and
+// immediately release their successors into the same frontier). Per-step
+// makespans and per-flow finish times are byte-identical to pricing each
+// step alone with Makespan in ID order, at every backend worker count:
+// steps are independent simulations, so what shares a batch cannot
+// influence results.
 func (p *Plan) Execute(g *topo.Graph, b netsim.Backend) error {
-	n := len(p.steps)
-	if n == 0 {
-		return nil
-	}
-	indeg := p.prepExec(n)
-
-	p.widths = p.widths[:0]
-	queue := p.frontier[:0]
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	done := 0
-	release := func(id int32) {
-		queue = p.releaseInto(id, indeg, queue)
-	}
-	for done < n {
-		if len(queue) == 0 {
-			return fmt.Errorf("commplan: dependency cycle (%d of %d steps scheduled)", done, n)
-		}
-		// Drain the ready queue: barriers resolve immediately (releasing
-		// their successors into this same pass), simulated steps accumulate
-		// into the frontier batch. A single indexed pass handles cascades of
-		// barrier -> barrier releases because release appends to queue.
-		batchPh := p.batch[:0]
-		batchIDs := p.batchIDs[:0]
-		for qi := 0; qi < len(queue); qi++ {
-			id := queue[qi]
-			s := &p.steps[id]
-			if s.Phases == nil {
-				s.Makespan = s.Delay
-				done++
-				release(id)
-			} else {
-				batchPh = append(batchPh, s.Phases)
-				batchIDs = append(batchIDs, id)
-			}
-		}
-		queue = queue[:0]
-		if len(batchIDs) > 0 {
-			ms, err := b.BatchMakespan(g, batchPh)
-			if err != nil {
-				return err
-			}
-			p.widths = append(p.widths, len(batchIDs))
-			p.recordWidth(len(batchIDs))
-			for k, id := range batchIDs {
-				p.steps[id].Makespan = ms[k]
-				done++
-			}
-			// Successors release only after the whole batch completed, so
-			// the next frontier is again maximal.
-			for _, id := range batchIDs {
-				release(id)
-			}
-		}
-		p.batch, p.batchIDs = batchPh[:0], batchIDs[:0]
-	}
-	p.frontier = queue[:0]
-	return nil
+	return p.exec.Execute(g, b, []*Plan{p})
 }

@@ -7,8 +7,9 @@ import (
 	"mixnet/internal/topo"
 )
 
-// MergedExec drains several independent plans — one per co-scheduled
-// training job (internal/tenancy) — on ONE shared backend, fusing every
+// MergedExec is the package's one frontier drain. It drains several
+// independent plans — one per co-scheduled training job (internal/tenancy),
+// or the single plan of Plan.Execute — on ONE shared backend, fusing every
 // round's ready frontiers across all plans into a single BatchMakespan
 // call. The packet backend then drains all (job, step, phase, shard) work
 // on one worker pool, so co-simulating N jobs exposes roughly N× the
@@ -17,11 +18,12 @@ import (
 // plans in slice order and each plan's steps in its own deterministic
 // topological-ready order, so results are byte-identical across worker
 // counts and — with a canonically sorted plan slice — independent of job
-// submission order.
+// submission order. Each plan records its own share of every round in
+// Plan.BatchWidths and Plan.Stats.
 //
 // With Contend unset (the default), per-step results are byte-identical to
-// draining each plan alone with Plan.Execute: steps are independent
-// simulations, so sharing the pool is purely a scheduling optimisation.
+// pricing each step alone: steps are independent simulations, so sharing
+// the pool is purely a scheduling optimisation.
 // With Contend set, steps of *different* plans that become ready in the
 // same round and at the same frontier position, and whose flows share a
 // link in some phase, are fused into one co-simulated workload (phase k of
@@ -59,9 +61,7 @@ type MergedExec struct {
 	stamp     uint32
 
 	// cumulative merged-frontier stats.
-	batches    uint64
-	widthSum   uint64
-	widthMax   int
+	fronts     widthStats
 	fusedSteps uint64
 }
 
@@ -70,9 +70,9 @@ type mergedState struct {
 	p     *Plan
 	indeg []int32
 	queue []int32
-	done  int
 	// roundOff/roundN locate the plan's simulated steps of the current
-	// round inside the merged batch (contended-mode grouping).
+	// round inside the merged batch (contended-mode grouping, and the
+	// plan's own width of the round).
 	roundOff, roundN int32
 }
 
@@ -92,11 +92,8 @@ func NewMergedExec() *MergedExec { return &MergedExec{} }
 
 // Stats returns the cumulative merged-frontier counters.
 func (m *MergedExec) Stats() MergedStats {
-	s := MergedStats{Batches: m.batches, WidthMax: m.widthMax, FusedSteps: m.fusedSteps}
-	if m.batches > 0 {
-		s.WidthMean = float64(m.widthSum) / float64(m.batches)
-	}
-	return s
+	return MergedStats{Batches: m.fronts.rounds, WidthMax: m.fronts.max,
+		WidthMean: m.fronts.mean(), FusedSteps: m.fusedSteps}
 }
 
 // grow sizes the merged scratch for the given plans.
@@ -113,17 +110,6 @@ func (m *MergedExec) grow(plans []*Plan) {
 		m.batch = make([]netsim.Phases, 0, total)
 		m.owners = make([]int32, 0, total)
 		m.ids = make([]int32, 0, total)
-	}
-}
-
-// recordWidth folds one merged round's width into the cumulative stats.
-//
-//mixnet:noalloc
-func (m *MergedExec) recordWidth(w int) {
-	m.batches++
-	m.widthSum += uint64(w)
-	if w > m.widthMax {
-		m.widthMax = w
 	}
 }
 
@@ -148,7 +134,6 @@ func (m *MergedExec) collectReady() int {
 			s := &st.p.steps[id]
 			if s.Phases == nil {
 				s.Makespan = s.Delay
-				st.done++
 				resolved++
 				st.queue = st.p.releaseInto(id, st.indeg, st.queue)
 			} else {
@@ -176,7 +161,8 @@ func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) err
 		n := len(p.steps)
 		total += n
 		st := &m.states[pi]
-		st.p, st.done = p, 0
+		st.p = p
+		p.widths = p.widths[:0]
 		if n == 0 {
 			st.indeg, st.queue = nil, nil
 			continue
@@ -194,18 +180,23 @@ func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) err
 		done += m.collectReady()
 		if len(m.ids) == 0 {
 			if done < total {
-				return fmt.Errorf("commplan: dependency cycle across merged plans (%d of %d steps scheduled)", done, total)
+				return fmt.Errorf("commplan: dependency cycle (%d of %d steps scheduled)", done, total)
 			}
 			break
 		}
 		if err := m.simulateRound(g, b); err != nil {
 			return err
 		}
-		m.recordWidth(len(m.ids))
+		m.fronts.record(len(m.ids))
+		for pi := range m.states {
+			if st := &m.states[pi]; st.roundN > 0 {
+				st.p.widths = append(st.p.widths, int(st.roundN))
+				st.p.fronts.record(int(st.roundN))
+			}
+		}
 		done += len(m.ids)
 		for k, id := range m.ids {
 			st := &m.states[m.owners[k]]
-			st.done++
 			st.queue = st.p.releaseInto(id, st.indeg, st.queue)
 		}
 	}

@@ -1,6 +1,7 @@
 package commplan
 
 import (
+	"slices"
 	"testing"
 
 	"mixnet/internal/netsim"
@@ -132,6 +133,63 @@ func TestMergedContendedDeterministicAndSlower(t *testing.T) {
 	for i := 0; i < b1.Len(); i++ {
 		if b1.Step(i).Makespan < rb.Step(i).Makespan-eps {
 			t.Fatalf("plan B step %d faster under contention: %v < %v", i, b1.Step(i).Makespan, rb.Step(i).Makespan)
+		}
+	}
+}
+
+// TestMergedRecordsPerPlanWidths: a merged drain records each plan's own
+// share of every round, so BatchWidths sums to the plan's simulated-step
+// count and Stats reflects the drain, exactly as a solo Execute records
+// them.
+func TestMergedRecordsPerPlanWidths(t *testing.T) {
+	c, steps := testWorkload(t, 6)
+	b, err := netsim.New(netsim.Config{Backend: "analytic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := New(), New()
+	buildPlan(pa, steps[:4], 1e-3)
+	buildPlan(pb, steps[4:], 2e-3)
+	// A chain in plan B forces it into a second round.
+	pb.AddDep(pb.Len()-1, 1)
+	m := NewMergedExec()
+	if err := m.Execute(c.G, b, []*Plan{pa, pb}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []*Plan{pa, pb} {
+		name := "AB"[i : i+1]
+		simulated := 0
+		for _, s := range p.Steps() {
+			if s.Phases != nil {
+				simulated++
+			}
+		}
+		sum := 0
+		for _, w := range p.BatchWidths() {
+			sum += w
+		}
+		if sum != simulated {
+			t.Errorf("plan %s: batch widths %v sum to %d, want its %d simulated steps",
+				name, p.BatchWidths(), sum, simulated)
+		}
+		if st := p.Stats(); st.FrontierMax == 0 || st.FrontierMean == 0 {
+			t.Errorf("plan %s: frontier stats not recorded: %+v", name, st)
+		}
+	}
+	if w := pa.BatchWidths(); !slices.Equal(w, []int{4}) {
+		t.Errorf("plan A widths %v, want [4]", w)
+	}
+	if w := pb.BatchWidths(); !slices.Equal(w, []int{1, 1}) {
+		t.Errorf("plan B widths %v, want [1 1]", w)
+	}
+	// The same plans drained alone record the same widths.
+	for _, p := range []*Plan{pa, pb} {
+		merged := slices.Clone(p.BatchWidths())
+		if err := p.Execute(c.G, b); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p.BatchWidths(), merged) {
+			t.Errorf("solo widths %v != merged widths %v", p.BatchWidths(), merged)
 		}
 	}
 }

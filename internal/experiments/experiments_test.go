@@ -203,6 +203,26 @@ func TestAblationFluidVsPacketAgree(t *testing.T) {
 	}
 }
 
+// TestAblationUniformNotFasterThanGreedy: never reconfiguring away from the
+// uniform round-robin circuits must not beat Algorithm 1's greedy circuits.
+// The upper edge of the band (the quick suite reads 1.04 on fluid, 1.06 on
+// analytic) catches a uniform row that stops carrying the all-to-all.
+func TestAblationUniformNotFasterThanGreedy(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("engine experiment")
+	}
+	tab, err := AblationGreedyVsUniform(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy := parseF(t, tab.Rows[0][1])
+	uniform := parseF(t, tab.Rows[2][1])
+	if r := uniform / greedy; r < 1 || r > 1.25 {
+		t.Errorf("uniform %.3fs / greedy %.3fs = %.3f, want within [1, 1.25]", uniform, greedy, r)
+	}
+}
+
 func TestFig10MixNetComparable(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {

@@ -52,11 +52,11 @@ func AblationOverlap(scale Scale) (Table, error) {
 		// number: measure the "none" baseline and the rolling window.
 		bound := "-"
 		if ov != "layer" {
-			_, pooled, err := planEventBounds(e)
+			total, maxShard, err := planEvents(e)
 			if err != nil {
 				return t, err
 			}
-			bound = f2(pooled)
+			bound = f2(float64(total) / float64(maxShard))
 		}
 		t.Rows = append(t.Rows, []string{
 			ov, f3(mean), f2(base / mean),
@@ -68,23 +68,17 @@ func AblationOverlap(scale Scale) (Table, error) {
 	return t, nil
 }
 
-// planEventBounds replays the engine's last communication plan through the
-// packet simulator shard by shard and returns the event-level concurrency
-// bounds batching exposes: per-call (each step waits for its slowest shard)
-// and pooled (all steps' jobs drain together). Zero-flow compute steps
-// contribute nothing — they are priced as delays, never simulated.
-func planEventBounds(e *trainsim.Engine) (perCall, pooled float64, err error) {
+// shardEvents replays workloads through the packet simulator shard by shard
+// — the jobs the packet backend's worker pool drains — and returns the
+// total packet event count and the largest single shard job's count: the
+// pooled event-concurrency bound is their ratio. Nil workloads (zero-flow
+// plan steps, priced as delays) count nothing.
+func shardEvents(g *topo.Graph, work []netsim.Phases) (total, maxShard uint64, err error) {
 	part := netsim.NewPartitioner()
 	sim := packetsim.NewSim()
 	cfg := packetsim.Config{MTU: netsim.PacketMTU}
-	g := e.Cluster.G
-	var total, globalMax, perCallSum uint64
-	for _, s := range e.CommPlan().Steps() {
-		if s.Phases == nil {
-			continue
-		}
-		var callMax uint64
-		for _, fs := range s.Phases {
+	for _, ph := range work {
+		for _, fs := range ph {
 			if len(fs) == 0 {
 				continue
 			}
@@ -98,20 +92,26 @@ func planEventBounds(e *trainsim.Engine) (perCall, pooled float64, err error) {
 					return 0, 0, err
 				}
 				total += res.Events
-				if res.Events > callMax {
-					callMax = res.Events
-				}
-				if res.Events > globalMax {
-					globalMax = res.Events
-				}
+				maxShard = max(maxShard, res.Events)
 			}
 		}
-		perCallSum += callMax
 	}
-	if total == 0 || globalMax == 0 {
-		return 0, 0, fmt.Errorf("experiments: no packet events in the communication plan")
+	return total, maxShard, nil
+}
+
+// planEvents is shardEvents over the engine's last communication plan; a
+// plan that produces no packet events is an error.
+func planEvents(e *trainsim.Engine) (total, maxShard uint64, err error) {
+	steps := e.CommPlan().Steps()
+	work := make([]netsim.Phases, len(steps))
+	for i := range steps {
+		work[i] = steps[i].Phases
 	}
-	return float64(total) / float64(perCallSum), float64(total) / float64(globalMax), nil
+	total, maxShard, err = shardEvents(e.Cluster.G, work)
+	if err == nil && total == 0 {
+		err = fmt.Errorf("experiments: communication plan produced no packet events")
+	}
+	return total, maxShard, err
 }
 
 // MultiCoreReport is the BENCH_*_packet.json multi_core entry: the packet
@@ -222,30 +222,12 @@ func MultiCoreWallClock() *MultiCoreReport {
 			rep.Speedup = rep.SerialSec / rep.ShardedSec
 		}
 	}
-	part := netsim.NewPartitioner()
-	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: netsim.PacketMTU}
-	var total, globalMax uint64
-	for _, ph := range steps {
-		for _, fs := range ph {
-			for _, shard := range part.Partition(len(c.G.Links), fs) {
-				pf := make([]*packetsim.Flow, len(shard))
-				for i, f := range shard {
-					pf[i] = &packetsim.Flow{ID: f.ID, Path: f.Path, Bytes: int64(f.Bytes)}
-				}
-				res, err := sim.Simulate(c.G, pf, cfg)
-				if err != nil {
-					return nil
-				}
-				total += res.Events
-				if res.Events > globalMax {
-					globalMax = res.Events
-				}
-			}
-		}
+	total, maxShard, err := shardEvents(c.G, steps)
+	if err != nil {
+		return nil
 	}
-	if globalMax > 0 {
-		rep.EventBound = float64(total) / float64(globalMax)
+	if maxShard > 0 {
+		rep.EventBound = float64(total) / float64(maxShard)
 	}
 	return rep
 }

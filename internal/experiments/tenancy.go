@@ -8,7 +8,6 @@ import (
 
 	"mixnet/internal/moe"
 	"mixnet/internal/netsim"
-	"mixnet/internal/packetsim"
 	"mixnet/internal/tenancy"
 	"mixnet/internal/trainsim"
 )
@@ -124,44 +123,6 @@ func tenantDigest(stats []trainsim.IterStats) string {
 		return err.Error()
 	}
 	return string(b)
-}
-
-// planEvents replays one engine's last communication plan through the
-// packet simulator and returns its total event count and largest single
-// shard job (the tenant's drain critical path at event level).
-func planEvents(e *trainsim.Engine) (total, maxShard uint64, err error) {
-	part := netsim.NewPartitioner()
-	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: netsim.PacketMTU}
-	g := e.Cluster.G
-	for _, s := range e.CommPlan().Steps() {
-		if s.Phases == nil {
-			continue
-		}
-		for _, fs := range s.Phases {
-			if len(fs) == 0 {
-				continue
-			}
-			for _, shard := range part.Partition(len(g.Links), fs) {
-				pf := make([]*packetsim.Flow, len(shard))
-				for i, f := range shard {
-					pf[i] = &packetsim.Flow{ID: f.ID, Path: f.Path, Bytes: int64(f.Bytes)}
-				}
-				res, err := sim.Simulate(g, pf, cfg)
-				if err != nil {
-					return 0, 0, err
-				}
-				total += res.Events
-				if res.Events > maxShard {
-					maxShard = res.Events
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0, 0, fmt.Errorf("experiments: tenant plan produced no packet events")
-	}
-	return total, maxShard, nil
 }
 
 // contendedMeans runs one contended co-simulation (optionally arbitrated)

@@ -222,8 +222,7 @@ func TestFailGPURestoreReleasesPenalty(t *testing.T) {
 }
 
 // TestComposedFailuresUnwindIndependently: restoring one failure must not
-// clear the penalties of another still-active failure (the old blanket
-// SetTPOverEPS(0) reset did exactly that).
+// clear the penalties of another still-active failure.
 func TestComposedFailuresUnwindIndependently(t *testing.T) {
 	e, err := mkTPEngine()
 	if err != nil {
@@ -251,24 +250,23 @@ func TestComposedFailuresUnwindIndependently(t *testing.T) {
 }
 
 // TestFailServerRestoreReleasesPenalties mirrors the GPU case for whole
-// servers, and checks SetTPOverEPS's manual base stays independent.
+// servers.
 func TestFailServerRestoreReleasesPenalties(t *testing.T) {
 	e, err := mkTPEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetTPOverEPS(1) // manual base, e.g. an operator-scripted scenario
 	restore, err := FailServer(e, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 GPUs per server / TP=2 -> 2 spanned TP groups, plus the base.
-	if e.TPOverEPS() != 3 {
-		t.Fatalf("after FailServer TPOverEPS = %d, want 3", e.TPOverEPS())
+	// 4 GPUs per server / TP=2 -> 2 spanned TP groups.
+	if e.TPOverEPS() != 2 {
+		t.Fatalf("after FailServer TPOverEPS = %d, want 2", e.TPOverEPS())
 	}
 	restore()
-	if e.TPOverEPS() != 1 {
-		t.Errorf("after restore TPOverEPS = %d, want manual base 1", e.TPOverEPS())
+	if e.TPOverEPS() != 0 {
+		t.Errorf("after restore TPOverEPS = %d, want 0", e.TPOverEPS())
 	}
 }
 

@@ -141,9 +141,3 @@ func RegionServersPerEPGroup(p moe.TrainPlan, gpusPerServer int) int {
 	}
 	return n
 }
-
-// NumEPGroups returns the number of EP groups (DP x PP).
-func (pl *Placement) NumEPGroups() int { return pl.Plan.DP * pl.Plan.PP }
-
-// EPGroupIndex enumerates EP groups as dp*PP + pp.
-func (pl *Placement) EPGroupIndex(dp, pp int) int { return dp*pl.Plan.PP + pp }

@@ -129,6 +129,12 @@ func (c Config) withDefaults() Config {
 	if c.Fabric == "" {
 		c.Fabric = "mixnet"
 	}
+	if c.Backend == "" {
+		c.Backend = netsim.DefaultName
+	}
+	if c.CC == "" {
+		c.CC = "fixed"
+	}
 	if c.LinkGbps == 0 {
 		c.LinkGbps = 400
 	}
@@ -143,6 +149,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReconfigDelaySec == 0 {
 		c.ReconfigDelaySec = 25e-3
+	}
+	if c.Overlap == "" {
+		c.Overlap = "none"
 	}
 	return c
 }
@@ -194,6 +203,10 @@ func newEngine(cfg Config, src trainsim.IterationSource) (*trainsim.Engine, erro
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	mode, err := trainsim.ParseFirstA2A(cfg.FirstA2A)
+	if err != nil {
+		return nil, err
+	}
 	m, plan, err := modelPlan(cfg)
 	if err != nil {
 		return nil, err
@@ -207,16 +220,7 @@ func newEngine(cfg Config, src trainsim.IterationSource) (*trainsim.Engine, erro
 	}
 	if cfg.Fabric == "mixnet" {
 		opts.Device = ocs.NewFixedDevice(cfg.ReconfigDelaySec)
-		switch cfg.FirstA2A {
-		case "block":
-			opts.FirstA2A = trainsim.FirstA2ABlock
-		case "reuse":
-			opts.FirstA2A = trainsim.FirstA2AReuse
-		case "copilot":
-			opts.FirstA2A = trainsim.FirstA2ACopilot
-		default:
-			return nil, fmt.Errorf("scenario: unknown FirstA2A mode %q", cfg.FirstA2A)
-		}
+		opts.FirstA2A = mode
 	}
 	return trainsim.New(m, plan, c, opts)
 }

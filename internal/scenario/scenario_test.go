@@ -209,6 +209,15 @@ func TestScenarioErrors(t *testing.T) {
 	if _, err := Run(Synthetic, cfg); err == nil {
 		t.Error("unknown backend accepted")
 	}
+	// The first-A2A mode is checked on every fabric, not only where it
+	// selects a reconfiguration policy.
+	for _, fabric := range []string{"mixnet", "fat-tree"} {
+		cfg = quickCfg()
+		cfg.Fabric, cfg.FirstA2A = fabric, "bogus"
+		if _, err := Run(Synthetic, cfg); err == nil {
+			t.Errorf("%s: unknown first-A2A mode accepted", fabric)
+		}
+	}
 	// Numbers no run can mean: errors, not panics, hangs or negative times.
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.Iterations = -1 },

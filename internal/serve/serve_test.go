@@ -528,6 +528,7 @@ func TestResultCache(t *testing.T) {
 	// Spelled-out defaults canonicalize onto the same entry.
 	spelled := q
 	spelled.Model, spelled.FirstA2A, spelled.LinkGbps, spelled.DP = "Mixtral 8x7B", "block", 400, 1
+	spelled.Backend, spelled.CC, spelled.Overlap = "fluid", "fixed", "none"
 	hit2, meta2, err := c.post("/v1/iter", spelled)
 	if err != nil {
 		t.Fatal(err)
@@ -684,6 +685,7 @@ func TestInvalidQueriesRejected(t *testing.T) {
 		`{"reconfig_delay_sec":-1}`,
 		`{"dp":-1}`,
 		`{"fold":true}`,
+		`{"fabric":"fat-tree","first_a2a":"bogus"}`,
 	}
 	for _, body := range bodies {
 		if code := post("/v1/iter", body); code != http.StatusBadRequest {

@@ -52,7 +52,8 @@ type Job struct {
 	DP int
 	// Seed drives the job's synthetic gate.
 	Seed int64
-	// FirstA2A is "block" (default), "reuse" or "copilot" (mixnet only).
+	// FirstA2A is "block" (default), "reuse" or "copilot"; checked on every
+	// fabric, applied on mixnet only.
 	FirstA2A string
 	// Overlap is the job's compute/communication overlap discipline
 	// (trainsim.Options.Overlap).
@@ -146,7 +147,6 @@ type CoSim struct {
 	arb     *Arbiter
 	plans   []*commplan.Plan
 	logs    [][]float64
-	waits   []float64
 }
 
 // resolved is one job's sized workload before engine construction.
@@ -298,18 +298,13 @@ func New(cfg Config, jobs []Job) (*CoSim, error) {
 			GateSeed: r.job.Seed, Config: cfg.Config, Overlap: r.job.Overlap,
 			BaseServer: r.base, Servers: r.servers,
 		}
+		mode, err := trainsim.ParseFirstA2A(r.job.FirstA2A)
+		if err != nil {
+			return nil, fmt.Errorf("tenancy: job %q: %w", r.job.Name, err)
+		}
 		if reconf {
 			opts.Device = ocs.NewFixedDevice(cfg.ReconfigDelaySec)
-			switch r.job.FirstA2A {
-			case "", "block":
-				opts.FirstA2A = trainsim.FirstA2ABlock
-			case "reuse":
-				opts.FirstA2A = trainsim.FirstA2AReuse
-			case "copilot":
-				opts.FirstA2A = trainsim.FirstA2ACopilot
-			default:
-				return nil, fmt.Errorf("tenancy: job %q: unknown FirstA2A mode %q", r.job.Name, r.job.FirstA2A)
-			}
+			opts.FirstA2A = mode
 		}
 		e, err := trainsim.New(r.model, r.plan, cluster, opts)
 		if err != nil {
@@ -338,9 +333,9 @@ func (cs *CoSim) RunRound() error {
 		for i, t := range cs.Tenants {
 			cs.logs[i] = t.Engine.ReconfigDelays()
 		}
-		cs.waits = cs.arb.Round(cs.logs)
+		waits := cs.arb.Round(cs.logs)
 		for i, t := range cs.Tenants {
-			if err := t.Engine.ChargeExtraBlocked(cs.waits[i]); err != nil {
+			if err := t.Engine.ChargeExtraBlocked(waits[i]); err != nil {
 				return err
 			}
 		}
@@ -374,11 +369,6 @@ func (cs *CoSim) Run(iters int) error {
 	}
 	return nil
 }
-
-// ArbiterWaits returns the per-tenant reconfiguration-window waits of the
-// last RunRound in canonical tenant order (nil without a bounded arbiter).
-// The slice is scratch, valid until the next RunRound.
-func (cs *CoSim) ArbiterWaits() []float64 { return cs.waits }
 
 // MergedStats returns the merged executor's cumulative frontier counters —
 // the pooled cross-job batch widths the shared backend drained.

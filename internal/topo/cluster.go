@@ -360,9 +360,6 @@ func (c *Cluster) GlobalGPU(i int) NodeID {
 	return c.Server(i / per).GPUs[i%per]
 }
 
-// ServerOfGPU maps a cluster-wide GPU rank to its server index.
-func (c *Cluster) ServerOfGPU(rank int) int { return rank / c.Spec.GPUsPerServer }
-
 // RegionOf returns the region index of a server (-1 if none).
 func (c *Cluster) RegionOf(server int) int { return c.Servers[server].Region }
 

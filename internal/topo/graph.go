@@ -404,29 +404,6 @@ func removeLinkID(s []LinkID, id LinkID) []LinkID {
 	return s
 }
 
-// NodesOfKind returns all materialized node IDs with the given kind.
-func (g *Graph) NodesOfKind(k Kind) []NodeID {
-	var out []NodeID
-	for i := range g.Nodes {
-		if g.Nodes[i].Kind == k {
-			out = append(out, g.Nodes[i].ID)
-		}
-	}
-	return out
-}
-
-// CountLinks returns the number of attached (non-detached) materialized
-// links, counting each duplex pair twice.
-func (g *Graph) CountLinks() int {
-	n := 0
-	for i := range g.Links {
-		if !g.Links[i].detached() {
-			n++
-		}
-	}
-	return n
-}
-
 // StateHash fingerprints the graph's simulation-relevant state: node
 // counts plus, for every attached materialized link, its endpoints,
 // capacity, latency and up/circuit flags. Per-link hashes combine by

@@ -46,16 +46,11 @@ func (e *Engine) chargeTPOverEPS(orig topo.NodeID, ranks int) {
 	e.tpTracked += ranks
 }
 
-// SetTPOverEPS sets the manual base count of EP ranks running their TP
-// group across the scale-out fabric (because a member GPU was remapped
-// off-host). Their TP all-reduces leave NVSwitch and are charged at NIC
-// line rate (§7.5). Charges tracked by FailGPU/FailServer are accounted
-// separately and are unaffected.
-func (e *Engine) SetTPOverEPS(ranks int) { e.tpOverEPS = ranks }
-
-// TPOverEPS returns the effective count of EP ranks whose TP group spans
-// the scale-out fabric: the manual base plus the failure-hook charges.
-func (e *Engine) TPOverEPS() int { return e.tpOverEPS + e.tpTracked }
+// TPOverEPS returns the count of EP ranks whose TP group spans the
+// scale-out fabric because FailGPU/FailServer remapped a member GPU
+// off-host. Their TP all-reduces leave NVSwitch and are charged at NIC line
+// rate (§7.5).
+func (e *Engine) TPOverEPS() int { return e.tpTracked }
 
 // Controller exposes the representative region's topology controller so
 // failure scenarios can exclude servers (nil for static fabrics).

@@ -23,7 +23,7 @@ import (
 // from circuit planning. A pooled engine must be pristine before reuse —
 // leftover overrides would silently skew every later query.
 func (e *Engine) Pristine() bool {
-	if len(e.gpuOverride) != 0 || len(e.tpPenalty) != 0 || e.tpTracked != 0 || e.tpOverEPS != 0 {
+	if len(e.gpuOverride) != 0 || len(e.tpPenalty) != 0 || e.tpTracked != 0 {
 		return false
 	}
 	if e.controller != nil && e.controller.FailedServers() != 0 {

@@ -64,8 +64,10 @@ type Options struct {
 	// analytic suits huge sweeps), the packet backend's congestion
 	// controller and its event-loop pool size.
 	netsim.Config
-	// Device models OCS reconfiguration latency; nil means the fabric has
-	// no runtime reconfiguration (electrical fabrics, TopoOpt).
+	// Device models OCS reconfiguration latency; nil means no runtime
+	// reconfiguration: the engine builds no OCS controller, so a MixNet
+	// cluster keeps the circuits it was built with (electrical fabrics and
+	// TopoOpt never reconfigure).
 	Device *ocs.Device
 	// Alpha caps the per-server optical degree (Figure 27); 0 = all NICs.
 	Alpha int
@@ -79,8 +81,6 @@ type Options struct {
 	// Source replaces the synthetic gate with another iteration source
 	// (e.g. a recorded production trace via internal/trace).
 	Source IterationSource
-	// DisableDP skips the DP all-reduce simulation.
-	DisableDP bool
 	// Overlap selects the compute/communication overlap discipline:
 	//
 	//   "none" (default) — serial accounting: every phase of a slot is
@@ -137,6 +137,20 @@ func ValidOverlap(name string) error {
 	return err
 }
 
+// ParseFirstA2A resolves a first-A2A mode by name: "block" (or ""),
+// "reuse" or "copilot".
+func ParseFirstA2A(name string) (FirstA2AMode, error) {
+	switch name {
+	case "", "block":
+		return FirstA2ABlock, nil
+	case "reuse":
+		return FirstA2AReuse, nil
+	case "copilot":
+		return FirstA2ACopilot, nil
+	}
+	return FirstA2ABlock, fmt.Errorf("trainsim: unknown first-A2A mode %q (have block, reuse, copilot)", name)
+}
+
 // IterationSource supplies gate outcomes; the default is the synthetic
 // gate simulator, and trace.ReplaySource substitutes recorded production
 // traffic.
@@ -171,7 +185,6 @@ type Engine struct {
 	// failure state (§5.4)
 	gpuOverride map[topo.NodeID]topo.NodeID
 	overrideGen int                 // bumped on OverrideGPU; invalidates leader caches
-	tpOverEPS   int                 // manual base set via SetTPOverEPS
 	tpPenalty   map[topo.NodeID]int // per-override TP-over-EPS charges, keyed by original GPU
 	tpTracked   int                 // sum of tpPenalty charges (kept in step with the map)
 
@@ -348,9 +361,6 @@ func New(m moe.Model, plan moe.TrainPlan, cluster *topo.Cluster, opts Options) (
 		if e.region < 0 {
 			return nil, fmt.Errorf("trainsim: MixNet cluster without regions")
 		}
-		e.controller = ocs.NewController(cluster, e.region, opts.Device)
-		e.controller.Alpha = opts.Alpha
-		e.controller.StrictBreak = opts.StrictBreak
 		span := parallel.RegionServersPerEPGroup(plan, cluster.Spec.GPUsPerServer)
 		if cluster.Spec.RegionServers != span {
 			return nil, fmt.Errorf("trainsim: region size %d does not match EP-group span %d servers",
@@ -359,6 +369,11 @@ func New(m moe.Model, plan moe.TrainPlan, cluster *topo.Cluster, opts Options) (
 		if opts.BaseServer%cluster.Spec.RegionServers != 0 {
 			return nil, fmt.Errorf("trainsim: server slice base %d not aligned to %d-server regions",
 				opts.BaseServer, cluster.Spec.RegionServers)
+		}
+		if opts.Device != nil {
+			e.controller = ocs.NewController(cluster, e.region, opts.Device)
+			e.controller.Alpha = opts.Alpha
+			e.controller.StrictBreak = opts.StrictBreak
 		}
 	}
 	if opts.FirstA2A == FirstA2ACopilot {
@@ -785,7 +800,7 @@ func (e *Engine) BeginIteration() error {
 		e.prevLayer0.CopyFrom(d0)
 		e.havePrev = true
 	}
-	if p.DP > 1 && !e.Opts.DisableDP {
+	if p.DP > 1 {
 		dpStep, err := e.compileDPAllReduce()
 		if err != nil {
 			return err

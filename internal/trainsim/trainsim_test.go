@@ -86,6 +86,43 @@ func TestEngineMixNetBlockMode(t *testing.T) {
 	}
 }
 
+// TestEngineMixNetWithoutDeviceNeverReconfigures: a nil Device means no
+// runtime reconfiguration on MixNet too — the engine builds no controller
+// and keeps the circuits the cluster was built with, in every first-A2A
+// mode.
+func TestEngineMixNetWithoutDeviceNeverReconfigures(t *testing.T) {
+	for _, mode := range []FirstA2AMode{FirstA2ABlock, FirstA2AReuse, FirstA2ACopilot} {
+		e := newEngine(t, topo.FabricMixNet, Options{GateSeed: 1, FirstA2A: mode})
+		if e.Controller() != nil {
+			t.Errorf("%v: engine without a Device built an OCS controller", mode)
+		}
+		stats, err := e.Run(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stats {
+			if s.Reconfigs != 0 || s.Blocked != 0 {
+				t.Errorf("%v iter %d: %d reconfigurations, %v s blocked; want none",
+					mode, s.Iter, s.Reconfigs, s.Blocked)
+			}
+		}
+	}
+}
+
+func TestParseFirstA2A(t *testing.T) {
+	for _, mode := range []FirstA2AMode{FirstA2ABlock, FirstA2AReuse, FirstA2ACopilot} {
+		if got, err := ParseFirstA2A(mode.String()); err != nil || got != mode {
+			t.Errorf("ParseFirstA2A(%q) = %v, %v", mode.String(), got, err)
+		}
+	}
+	if got, err := ParseFirstA2A(""); err != nil || got != FirstA2ABlock {
+		t.Errorf(`ParseFirstA2A("") = %v, %v; want block`, got, err)
+	}
+	if _, err := ParseFirstA2A("bogus"); err == nil {
+		t.Error("unknown first-A2A mode accepted")
+	}
+}
+
 func TestEngineMixNetReuseAvoidsBlocking(t *testing.T) {
 	block := newEngine(t, topo.FabricMixNet, Options{
 		GateSeed: 1, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
@@ -179,14 +216,6 @@ func TestEngineDPAllReduce(t *testing.T) {
 	}
 	if s.DPTime <= 0 {
 		t.Error("DP=2 produced no gradient all-reduce time")
-	}
-	e2, _ := New(tinyModel, plan, topo.BuildFatTree(spec), Options{GateSeed: 4, DisableDP: true})
-	s2, err := e2.RunIteration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.DPTime != 0 {
-		t.Error("DisableDP did not skip the all-reduce")
 	}
 }
 
