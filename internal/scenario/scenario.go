@@ -119,7 +119,10 @@ func Names() []string {
 // WithDefaults returns the configuration with the package defaults filled
 // in — the canonical form. Exported for callers that key caches on a
 // configuration (the query service's engine pool): two configs describing
-// the same run canonicalize to the same value.
+// the same run canonicalize to the same value. Only MixNet reconfigures,
+// so on every other fabric a valid FirstA2A and ReconfigDelaySec, which
+// change nothing there, canonicalize to their defaults; invalid ones are
+// kept for validation to reject.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
@@ -152,6 +155,14 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Overlap == "" {
 		c.Overlap = "none"
+	}
+	if c.Fabric != "mixnet" {
+		if _, err := trainsim.ParseFirstA2A(c.FirstA2A); err == nil {
+			c.FirstA2A = "block"
+		}
+		if c.ReconfigDelaySec >= 0 && !math.IsInf(c.ReconfigDelaySec, 1) {
+			c.ReconfigDelaySec = 25e-3
+		}
 	}
 	return c
 }

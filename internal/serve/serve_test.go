@@ -52,6 +52,41 @@ func TestShapeKeyIgnoresPerQueryKnobs(t *testing.T) {
 	}
 }
 
+// TestShapeKeyCanonicalizesMixNetKnobs: only MixNet reconfigures, so on a
+// fat-tree a first-A2A mode or a reconfiguration delay changes no answer
+// and must split neither the engine pool nor the result cache. On MixNet
+// the first-A2A mode keeps its own entries.
+func TestShapeKeyCanonicalizesMixNetKnobs(t *testing.T) {
+	t.Parallel()
+	base := scenario.Config{Fabric: "fat-tree", Seed: 1, Iterations: 1}
+	copilot, delay := base, base
+	copilot.FirstA2A = "copilot"
+	delay.ReconfigDelaySec = 1
+	want, err := scenario.Run(scenario.Synthetic, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []scenario.Config{copilot, delay} {
+		if ShapeKey(cfg) != ShapeKey(base) {
+			t.Errorf("%+v: shape key differs from the default fat-tree config's", cfg)
+		}
+		if resultKey("iter", cfg.WithDefaults()) != resultKey("iter", base.WithDefaults()) {
+			t.Errorf("%+v: result key differs from the default fat-tree config's", cfg)
+		}
+		if got, err := scenario.Run(scenario.Synthetic, cfg); err != nil || got != want {
+			t.Errorf("%+v: answer %+v, %v; want the default config's %+v", cfg, got, err, want)
+		}
+	}
+	mix, mixCopilot := base, copilot
+	mix.Fabric, mixCopilot.Fabric = "mixnet", "mixnet"
+	if ShapeKey(mix) == ShapeKey(mixCopilot) {
+		t.Error("MixNet copilot config shares the block config's shape key")
+	}
+	if resultKey("iter", mix.WithDefaults()) == resultKey("iter", mixCopilot.WithDefaults()) {
+		t.Error("MixNet copilot config shares the block config's result key")
+	}
+}
+
 // TestShapeKeyCoversEveryField: the key is derived from the canonical
 // configuration, so changing any scenario.Config field other than the
 // per-query Seed, Iterations and Trace — embedded execution options

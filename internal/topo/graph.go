@@ -376,20 +376,21 @@ func (g *Graph) RemoveCircuits(region int) int {
 		g.detachLink(l.ID)
 		n++
 	}
-	if n > 0 {
-		g.epoch++
-	}
 	return n
 }
 
 func (l *Link) detached() bool { return l.Detached }
 
+// detachLink removes a link from adjacency and bumps the epoch, like every
+// other mutation: a teardown with no reinstall after it must still
+// invalidate routes cached over the link.
 func (g *Graph) detachLink(id LinkID) {
 	l := g.Link(id)
 	fi, ti := g.NodeIndex(l.From), g.NodeIndex(l.To)
 	g.out[fi] = removeLinkID(g.out[fi], id)
 	g.in[ti] = removeLinkID(g.in[ti], id)
 	l.Detached = true
+	g.epoch++
 	g.markDirty(l.From)
 	g.markDirty(l.To)
 }

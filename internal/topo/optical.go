@@ -65,28 +65,26 @@ func (c *Cluster) sealBuildCircuits() {
 
 // ResetCircuits restores every region's build-time circuit configuration,
 // undoing runtime reconfiguration (the OCS controller retargeting circuits
-// mid-run). Regions already at their build configuration are left
-// untouched — in particular the graph epoch does not move, so a cluster
-// that never reconfigured keeps its warm epoch-keyed caches. Reinstalled
-// circuits allocate fresh link IDs (IDs are never reused), but append at
-// the same adjacency positions the build used (circuits always install
-// after a NIC's fabric links), so routing and simulation are
-// byte-identical to a fresh build; StateHash is ID-insensitive and
-// verifies the restored state. Returns whether any region was reinstalled.
-// Fabrics whose circuits are configured once and never retargeted
-// (TopoOpt's patch panels, fixed fabrics without regions) are no-ops.
-func (c *Cluster) ResetCircuits() (bool, error) {
-	changed := false
+// mid-run). It retargets each region to its sealed build pairs, so a
+// region already at its build configuration is left untouched (see
+// SetRegionCircuitsBps): a cluster that never reconfigured keeps its epoch
+// and its warm epoch-keyed caches. Reinstalled circuits allocate fresh link
+// IDs (IDs are never reused), but append at the same adjacency positions
+// the build used (circuits always install after a NIC's fabric links), so
+// routing and simulation are byte-identical to a fresh build; StateHash is
+// ID-insensitive and verifies the restored state. Returns whether the
+// graph epoch moved. Fabrics whose circuits are configured once and never
+// retargeted (TopoOpt's patch panels, fixed fabrics without regions) are
+// no-ops.
+func (c *Cluster) ResetCircuits() (changed bool, err error) {
+	e0 := c.G.Epoch()
 	for r, rc := range c.ocs {
-		if rc.buildPairs == nil || slices.Equal(rc.pairs, rc.buildPairs) {
-			continue
+		if err = c.SetRegionCircuitsBps(r, rc.buildPairs, rc.buildBps); err != nil {
+			break
 		}
-		if err := c.SetRegionCircuitsBps(r, rc.buildPairs, rc.buildBps); err != nil {
-			return changed, err
-		}
-		changed = true
 	}
-	return changed, nil
+	//mixnet:allow reports whether the graph changed; no cached state is reused on the comparison
+	return c.G.Epoch() != e0, err
 }
 
 // BuildTopoOpt constructs the TopoOpt baseline: every NIC is attached to a
@@ -216,11 +214,14 @@ func UniformCircuits(c *Cluster, region int) []CircuitPair {
 	return pairs
 }
 
-// SetRegionCircuits tears down the region's existing circuits and installs
-// the given pairs. Pair endpoints must be OCS-attached NIC nodes (or GPU
-// nodes for the CPO variant) within the region. The physical reconfiguration
-// delay is modelled by the caller (internal/ocs); this call performs the
-// instantaneous graph surgery.
+// SetRegionCircuits retargets a region to the given pairs: it tears down
+// the region's existing circuits and installs the pairs, unless they are
+// exactly what is installed, in which case the graph is left alone (see
+// SetRegionCircuitsBps). Pair endpoints must be OCS-attached NIC nodes (or
+// GPU nodes for the CPO variant) within the region. The physical
+// reconfiguration delay is modelled by the caller (internal/ocs), which
+// charges it either way; this call performs the instantaneous graph
+// surgery.
 func (c *Cluster) SetRegionCircuits(region int, pairs []CircuitPair) error {
 	bps := c.CircuitBps
 	if bps == 0 {

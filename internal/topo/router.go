@@ -22,7 +22,9 @@ type Router interface {
 // BFSRouter is a generic shortest-path ECMP router. It caches per-destination
 // distance fields and fully resolved routes, and invalidates both when the
 // graph epoch changes, so steady-state Route calls perform zero heap
-// allocations.
+// allocations. A route that meets exactly one candidate at every hop is the
+// same under every flow key, so it is cached once per (src, dst) pair and
+// returned for any key; routes with an ECMP choice are cached per key.
 //
 // Path selection walks from src towards dst, at each hop choosing among the
 // neighbours that strictly decrease the distance to dst, hashed by
@@ -44,8 +46,10 @@ type BFSRouter struct {
 	G *Graph
 
 	epoch  uint64
+	growth uint64                // graph growth the single cache holds for
 	dist   map[NodeID]*distEntry // dst -> distances of materialized nodes to dst
-	routes map[routeKey]Route    // resolved paths, keyed by (src, dst, flowKey)
+	routes map[routeKey]Route    // paths with an ECMP choice, keyed by (src, dst, flowKey)
+	single map[nodePair]Route    // paths without one: the same under every flow key
 	cands  []LinkID              // per-hop ECMP candidate scratch
 
 	// pool holds every distance entry this router has allocated;
@@ -80,9 +84,14 @@ type routeKey struct {
 	flow     uint64
 }
 
+// nodePair identifies a cached route that no flow key can change.
+type nodePair struct{ src, dst NodeID }
+
 // NewBFSRouter creates a router over g.
 func NewBFSRouter(g *Graph) *BFSRouter {
-	return &BFSRouter{G: g, dist: make(map[NodeID]*distEntry), routes: make(map[routeKey]Route)}
+	r := &BFSRouter{G: g}
+	r.Invalidate()
+	return r
 }
 
 // Invalidate drops all cached distance fields and routes. Callers normally
@@ -91,22 +100,29 @@ func NewBFSRouter(g *Graph) *BFSRouter {
 func (r *BFSRouter) Invalidate() {
 	if r.dist == nil {
 		r.dist = make(map[NodeID]*distEntry)
-	}
-	if r.routes == nil {
 		r.routes = make(map[routeKey]Route)
+		r.single = make(map[nodePair]Route)
 	}
 	clear(r.dist)
 	clear(r.routes)
+	clear(r.single)
 	r.live = 0
 }
 
-// sync invalidates the caches when the graph was mutated.
+// sync drops what the graph has outdated since the last call: every cache
+// when the epoch moved, and the single-path routes when a folded graph
+// grew, because a new pod can give a hop a second equal-cost candidate
+// (core to core, say). Distance fields carry their own growth stamp, and
+// reach/DistanceField restart a stale one.
 func (r *BFSRouter) sync() {
-	//mixnet:allow growth is covered per entry: distEntry carries its own growth stamp and reach/DistanceField restart it when it is stale
-	if r.epoch != r.G.Epoch() {
+	g := r.G
+	if r.epoch != g.Epoch() {
 		r.Invalidate()
-		r.epoch = r.G.Epoch()
+		r.epoch = g.Epoch()
+	} else if r.growth != g.Growth() {
+		clear(r.single)
 	}
+	r.growth = g.Growth()
 }
 
 // computeDist (re)starts dst's distance field against the current graph:
@@ -220,8 +236,9 @@ func hash64(x uint64) uint64 {
 }
 
 // Route implements Router. The returned Route may be shared with the
-// router's cache and other callers with the same (src, dst, flowKey):
-// treat it as read-only.
+// router's cache and with other callers routing the same (src, dst): under
+// the same flowKey, or under any key when the route has no ECMP choice.
+// Treat it as read-only.
 func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 	if src == dst {
 		return nil, nil
@@ -229,6 +246,9 @@ func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 	r.sync()
 	key := routeKey{src, dst, flowKey}
 	if rt, ok := r.routes[key]; ok {
+		return rt, nil
+	}
+	if rt, ok := r.single[nodePair{src, dst}]; ok {
 		return rt, nil
 	}
 	if rt, ok := r.replayIntraServer(src, dst, flowKey); ok {
@@ -259,6 +279,7 @@ func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 	route := make(Route, 0, d[ci])
 	cur := src
 	hop := 0
+	choice := false
 	for cur != dst {
 		want := d[ci] - 1
 		// Gather candidate links that strictly approach dst.
@@ -281,6 +302,7 @@ func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 		if len(cands) == 1 {
 			pick = cands[0]
 		} else {
+			choice = true
 			h := hash64(flowKey ^ hash64(uint64(cur)<<16^uint64(hop)))
 			pick = cands[h%uint64(len(cands))]
 		}
@@ -292,7 +314,13 @@ func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 			return nil, errors.New("topo: routing loop")
 		}
 	}
-	r.routes[key] = route
+	// A walk over a stale field may miss candidates a restarted field
+	// would see, so only a current field's single path is key-free.
+	if choice || e.growth != g.Growth() {
+		r.routes[key] = route
+	} else {
+		r.single[nodePair{src, dst}] = route
+	}
 	return route, nil
 }
 

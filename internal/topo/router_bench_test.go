@@ -127,6 +127,63 @@ func TestRouteAfterReconfigAllocs(t *testing.T) {
 	}
 }
 
+// TestRouteAfterIdenticalRetargetAllocs guards the warm routes across a
+// retarget to the installed circuits: it moves no epoch and adds no link,
+// and routing the compile's pairs again under a new flow key allocates at
+// most one Route per pair with an ECMP choice, because every single-path
+// route comes from the per-pair cache.
+func TestRouteAfterIdenticalRetargetAllocs(t *testing.T) {
+	c, configs, pairs := reconfigFabric()
+	r := NewBFSRouter(c.G)
+	// Warm up as a compile loop does: a few retargets, each compile
+	// routing under two keys, so the caches are at their working size.
+	for i := 0; i < 3; i++ {
+		if err := c.SetRegionCircuits(0, configs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		routePairs(t, r, pairs)
+		for _, p := range pairs {
+			if _, err := r.Route(p[0], p[1], 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.SetRegionCircuits(0, configs[1]); err != nil {
+		t.Fatal(err)
+	}
+	routePairs(t, r, pairs)
+	epoch, links := c.G.Epoch(), len(c.G.Links)
+	if err := c.SetRegionCircuits(0, configs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if c.G.Epoch() != epoch || len(c.G.Links) != links {
+		t.Fatalf("identical retarget: epoch %d -> %d, links %d -> %d; want both unchanged",
+			epoch, c.G.Epoch(), links, len(c.G.Links))
+	}
+	ref := &refRouter{g: c.G}
+	choices := 0
+	for _, p := range pairs {
+		if ref.choice(p[0], p[1]) {
+			choices++
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range pairs {
+		if _, err := r.Route(p[0], p[1], 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	t.Logf("%d of %d pairs have an ECMP choice; re-routing made %d allocations", choices, len(pairs), got)
+	if got > uint64(choices) {
+		t.Errorf("re-routing %d pairs under a new key after an identical retarget made %d allocations, want at most %d (the pairs with an ECMP choice)",
+			len(pairs), got, choices)
+	}
+}
+
 // TestRouteCachedZeroAllocs guards the router half of the tentpole: a
 // steady-state Route call (warm distance field and route cache) must not
 // allocate.

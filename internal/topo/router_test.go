@@ -113,6 +113,28 @@ func (r *refRouter) walk(src, dst NodeID, flowKey uint64) (Route, error) {
 	return route, nil
 }
 
+// choice reports whether routing src to dst meets more than one
+// equal-cost candidate at some hop. The hops before the first choice are
+// the same under every flow key, so every key meets that choice.
+func (r *refRouter) choice(src, dst NodeID) bool {
+	g := r.g
+	d := r.field(dst)
+	for cur := src; cur != dst; {
+		want := d[g.NodeIndex(cur)] - 1
+		var cands []LinkID
+		for _, lid := range g.Out(cur) {
+			if l := g.Link(lid); l.Up && d[g.NodeIndex(l.To)] == want {
+				cands = append(cands, lid)
+			}
+		}
+		if len(cands) != 1 {
+			return len(cands) > 1
+		}
+		cur = g.Link(cands[0]).To
+	}
+	return false
+}
+
 // materialized lists every node ID with backing storage, or with
 // serverOnly only those inside a server.
 func materialized(g *Graph, serverOnly bool) []NodeID {
@@ -144,7 +166,9 @@ func newRouteOracle(t *testing.T, g *Graph, seed uint64) *routeOracle {
 
 // check routes every ordered pair of nodes (or, with limit > 0, that many
 // random pairs) under several salts, in a random order, on both routers and
-// requires identical routes and errors. Now and then it also requires
+// requires identical routes and errors. One pair in eight runs through all
+// the salts a collective rotates (16), so a route the router shares across
+// flow keys meets the reference under each. Now and then it also requires
 // DistanceField of the pair's destination to equal the complete reference
 // field.
 func (o *routeOracle) check(state string, nodes []NodeID, limit int) {
@@ -162,7 +186,11 @@ func (o *routeOracle) check(state string, nodes []NodeID, limit int) {
 		pairs = pairs[:limit]
 	}
 	for _, p := range pairs {
-		for salt := uint64(0); salt < 3; salt++ {
+		salts := uint64(3)
+		if o.rng.IntN(8) == 0 {
+			salts = 16
+		}
+		for salt := uint64(0); salt < salts; salt++ {
 			key := FlowKey(p.src, p.dst, salt)
 			got, errGot := o.r.Route(p.src, p.dst, key)
 			want, errWant := o.ref.Route(p.src, p.dst, key)
@@ -225,8 +253,9 @@ func randomCircuits(c *Cluster, rng *rand.Rand, region int) []CircuitPair {
 	return pairs
 }
 
-// TestRouterMatchesReference: resumable distance fields must route every
-// pair exactly as complete BFS fields do — across OCS retargets, link
+// TestRouterMatchesReference: resumable distance fields and the per-pair
+// cache of single-path routes must route every pair exactly as complete BFS
+// fields do — across OCS retargets (identical ones included), link
 // failures, a static optical fabric and folded-graph growth — and
 // DistanceField must return the complete field even after Route expanded
 // it only partly.
@@ -246,6 +275,16 @@ func TestRouterMatchesReference(t *testing.T) {
 				}
 			}
 			o.check(fmt.Sprintf("random circuits, round %d", round), materialized(c.G, false), 0)
+			epoch := c.G.Epoch()
+			for region := range c.Regions {
+				if err := c.SetRegionCircuits(region, slices.Clone(c.RegionCircuits(region))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.G.Epoch() != epoch {
+				t.Fatalf("round %d: re-applying the installed circuits moved the epoch", round)
+			}
+			o.check(fmt.Sprintf("identical retarget, round %d", round), materialized(c.G, false), 2000)
 		}
 		o.done()
 	})
@@ -301,5 +340,42 @@ func TestRouterMatchesReference(t *testing.T) {
 		c.EnsureServer(8)
 		o.check("grown after failure", materialized(c.G, true), 0)
 		o.done()
+	})
+	// Two cores of one group are joined through that group's agg in every
+	// materialized pod: one path while a single pod exists, one more per
+	// pod after. Growth must drop the single-path route from the per-pair
+	// cache, and a walk over a field started before the growth must not
+	// enter it, or every later flow key would get the old path.
+	t.Run("folded-growth-core-pair", func(t *testing.T) {
+		t.Parallel()
+		c := BuildFatTree(foldSpec(12))
+		c.EnsureServer(0)
+		a, b := c.fold.coreBase, c.fold.coreBase+1
+		o := newRouteOracle(t, c.G, 5)
+		if rt, err := o.r.Route(a, b, FlowKey(a, b, 0)); err != nil || len(rt) != 2 {
+			t.Fatalf("test setup: core route before growth = %v, %v; want two hops through pod 0", rt, err)
+		}
+		c.EnsureServer(11) // the last pod
+		// b's field predates the growth and still labels a, so this walk
+		// cannot see the new pod's agg (server endpoints never need it).
+		if _, err := o.r.Route(a, b, FlowKey(a, b, 100)); err != nil {
+			t.Fatal(err)
+		}
+		// A DistanceField call (as the analytic-ecmp backend makes) restarts
+		// b's field against the grown graph.
+		o.r.DistanceField(b)
+		aggs := map[LinkID]bool{}
+		for salt := uint64(1); salt <= 16; salt++ {
+			key := FlowKey(a, b, salt)
+			got, errGot := o.r.Route(a, b, key)
+			want, errWant := o.ref.Route(a, b, key)
+			if !errors.Is(errGot, errWant) || !slices.Equal(got, want) {
+				t.Fatalf("core route after growth, salt %d = %v, %v; reference %v, %v", salt, got, errGot, want, errWant)
+			}
+			aggs[want[0]] = true
+		}
+		if len(aggs) < 2 {
+			t.Fatalf("test setup: every key took the same path after growth (%v)", aggs)
+		}
 	})
 }

@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ScaleUpSpec parameterises the §8 look-ahead study: high-radix scale-up
 // domains (NVL72-style) versus MixNet with co-packaged optical I/O.
@@ -120,11 +123,24 @@ func BuildMixNetCPO(su ScaleUpSpec) *Cluster {
 
 // SetRegionCircuitsBps is SetRegionCircuits with an explicit per-circuit
 // bandwidth (used by the CPO variant where circuits are not NIC line rate).
+//
+// A retarget to what is already installed leaves the graph alone: when
+// pairs equal the installed pairs, bps equals the installed bandwidth, and
+// every installed circuit link is still attached and up with the bandwidth
+// and latency a fresh install would give it, the call returns at once, the
+// epoch does not move and routers keep their caches. A reinstall would
+// differ only in link IDs: circuits are the last adjacency entries of
+// their ports, so they would come back at the same positions, and
+// StateHash ignores IDs. Any other call tears the region's circuits down
+// and installs pairs on fresh link IDs.
 func (c *Cluster) SetRegionCircuitsBps(region int, pairs []CircuitPair, bps float64) error {
 	if region < 0 || region >= len(c.ocs) {
 		return fmt.Errorf("topo: region %d out of range", region)
 	}
 	rc := c.ocs[region]
+	if c.installed(rc, pairs, bps) {
+		return nil
+	}
 	for _, id := range rc.linkIDs {
 		if !c.G.Link(id).detached() {
 			c.G.detachLink(id)
@@ -138,4 +154,20 @@ func (c *Cluster) SetRegionCircuitsBps(region int, pairs []CircuitPair, bps floa
 		rc.linkIDs = append(rc.linkIDs, ab, ba)
 	}
 	return nil
+}
+
+// installed reports whether rc holds exactly the circuits a fresh install
+// of pairs at bps would leave: the same pairs in the same order, each link
+// attached, up, and at that bandwidth and latency.
+func (c *Cluster) installed(rc *regionCircuits, pairs []CircuitPair, bps float64) bool {
+	if rc.bps != bps || !slices.Equal(rc.pairs, pairs) {
+		return false
+	}
+	for _, id := range rc.linkIDs {
+		l := c.G.Link(id)
+		if l.detached() || !l.Up || l.Bps != bps || l.Latency != c.Spec.LinkLatency {
+			return false
+		}
+	}
+	return true
 }
