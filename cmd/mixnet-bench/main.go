@@ -7,7 +7,6 @@
 //	mixnet-bench -only fig12     # a single experiment
 //	mixnet-bench -list           # available experiment ids
 //	mixnet-bench -par 8          # worker-pool width (default GOMAXPROCS)
-//	mixnet-bench -workers 8      # packet-backend shard parallelism
 //	mixnet-bench -overlap iter   # compute/comm overlap + cross-iteration pipelining
 //	mixnet-bench -json           # also write BENCH_<scale>.json
 //	mixnet-bench -sweep          # every backend, one combined fidelity report
@@ -40,14 +39,9 @@ type benchReport struct {
 	Backend      string            `json:"backend"`
 	CC           string            `json:"cc,omitempty"`
 	Workers      int               `json:"workers"`
-	SimWorkers   int               `json:"sim_workers,omitempty"`
 	Overlap      string            `json:"overlap,omitempty"`
 	TotalSeconds float64           `json:"total_seconds"`
 	Experiments  []benchExperiment `json:"experiments"`
-	// MultiCore records the packet backend's wall-clock sharding speedup
-	// (or a single_core marker when only one core is available); present
-	// on packet-backend runs only.
-	MultiCore *experiments.MultiCoreReport `json:"multi_core,omitempty"`
 }
 
 type benchExperiment struct {
@@ -81,19 +75,18 @@ type sweepRow struct {
 
 func main() {
 	var (
-		full       = flag.Bool("full", false, "paper-scale dimensions (slow)")
-		backend    = flag.String("backend", "", "network simulation backend: fluid (default) | packet | analytic | analytic-ecmp")
-		cc         = flag.String("cc", "", "packet-backend congestion control: fixed (default) | dcqcn | swift")
-		only       = flag.String("only", "", "run a single experiment id")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		par        = flag.Int("par", 0, "worker-pool width across experiments (0 = GOMAXPROCS)")
-		simWorkers = flag.Int("workers", 0, "packet-backend event loops per engine (0/1 = one loop, -1 = GOMAXPROCS; byte-identical results)")
-		overlap    = flag.String("overlap", "", "compute/communication overlap discipline: none (default) | layer | iter")
-		scaleFlag  = flag.String("scale", "", "large: quantify the analytic backends at 8k-256k GPU scale and write BENCH_large_ecmp.json")
-		tenants    = flag.Int("tenants", 0, "co-schedule N training jobs on one shared fabric and write BENCH_tenancy.json (>= 2)")
-		sweep      = flag.Bool("sweep", false, "run the selected experiments on every backend and emit one combined fidelity report")
-		jsonOut    = flag.Bool("json", false, "write machine-readable BENCH_<scale>.json")
-		jsonPath   = flag.String("json-path", "", "override the BENCH_*.json output path")
+		full      = flag.Bool("full", false, "paper-scale dimensions (slow)")
+		backend   = flag.String("backend", "", "network simulation backend: fluid (default) | packet | analytic | analytic-ecmp")
+		cc        = flag.String("cc", "", "packet-backend congestion control: fixed (default) | dcqcn | swift")
+		only      = flag.String("only", "", "run a single experiment id")
+		list      = flag.Bool("list", false, "list experiment ids and exit")
+		par       = flag.Int("par", 0, "worker-pool width across experiments (0 = GOMAXPROCS)")
+		overlap   = flag.String("overlap", "", "compute/communication overlap discipline: none (default) | layer | iter")
+		scaleFlag = flag.String("scale", "", "large: quantify the analytic backends at 8k-256k GPU scale and write BENCH_large_ecmp.json")
+		tenants   = flag.Int("tenants", 0, "co-schedule N training jobs on one shared fabric and write BENCH_tenancy.json (>= 2)")
+		sweep     = flag.Bool("sweep", false, "run the selected experiments on every backend and emit one combined fidelity report")
+		jsonOut   = flag.Bool("json", false, "write machine-readable BENCH_<scale>.json")
+		jsonPath  = flag.String("json-path", "", "override the BENCH_*.json output path")
 	)
 	flag.Parse()
 
@@ -108,7 +101,7 @@ func main() {
 		scale, scaleName = experiments.Full, "full"
 	}
 	defaults := experiments.Defaults{
-		Exec:    netsim.Config{Backend: *backend, CC: *cc, Workers: *simWorkers},
+		Exec:    netsim.Config{Backend: *backend, CC: *cc},
 		Overlap: *overlap,
 	}
 	if err := experiments.SetDefaults(defaults); err != nil {
@@ -158,13 +151,10 @@ func main() {
 
 	report := benchReport{
 		Scale: scaleName, Backend: defaults.Exec.BackendName(), CC: *cc,
-		Workers: workers, SimWorkers: *simWorkers,
+		Workers: workers,
 	}
 	if *overlap != "none" {
 		report.Overlap = *overlap
-	}
-	if report.Backend == "packet" {
-		report.MultiCore = experiments.MultiCoreWallClock()
 	}
 	failed := false
 	start := time.Now()

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mixnet-sim -model "Mixtral 8x7B" -fabric mixnet -gbps 100 -iters 3 -mode copilot
-//	mixnet-sim -backend packet -workers 8            # sharded packet fidelity
+//	mixnet-sim -backend packet                       # packet fidelity, link-disjoint shards
 //	mixnet-sim -overlap iter                         # overlap compute/comm, pipeline across iterations
 //	mixnet-sim -scenario trace -backend packet       # trace replay at packet fidelity
 //	mixnet-sim -fabric fat-tree -dp 9                # three tiers: always built symmetry-folded
@@ -35,7 +35,6 @@ func main() {
 		fabric   = flag.String("fabric", "mixnet", "fat-tree | oversub | rail | topoopt | mixnet")
 		backend  = flag.String("backend", "fluid", "network simulation backend: fluid | packet | analytic | analytic-ecmp")
 		cc       = flag.String("cc", "", "packet-backend congestion control: fixed | dcqcn | swift")
-		workers  = flag.Int("workers", 0, "packet-backend event loops shared by the shards of every ready communication step (0/1 = one loop, -1 = GOMAXPROCS; byte-identical results)")
 		overlap  = flag.String("overlap", "", "compute/communication overlap discipline: none (default, serial accounting) | layer (hide collectives under the next layer's compute) | iter (also pipeline across iteration boundaries)")
 		gbps     = flag.Float64("gbps", 400, "NIC line rate in Gbit/s")
 		dp       = flag.Int("dp", 1, "data-parallel replicas")
@@ -56,7 +55,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-iters must be >= 1, got %d\n", *iters)
 		os.Exit(2)
 	}
-	exec := netsim.Config{Backend: *backend, CC: *cc, Workers: *workers}
+	exec := netsim.Config{Backend: *backend, CC: *cc}
 
 	if *list {
 		for _, m := range mixnet.ListModels() {
@@ -103,9 +102,6 @@ func main() {
 	} else {
 		backendDesc += " backend"
 	}
-	if *workers > 1 || *workers < 0 {
-		backendDesc += fmt.Sprintf(", %d workers", *workers)
-	}
 	if *overlap != "" && *overlap != "none" {
 		backendDesc += ", overlap " + *overlap
 	}
@@ -123,7 +119,7 @@ func main() {
 
 // runTenants co-schedules n jobs on one shared fabric: the named model at
 // the requested data parallelism plus n-1 DP-doubled neighbours, drained in
-// merged frontiers on one backend pool. With -contend the per-tenant means
+// merged frontiers on one shared backend. With -contend the per-tenant means
 // are also priced against a solo serial-sum baseline.
 func runTenants(n int, cfg tenancy.Config, model string, dp, iters int, seed int64, mode, overlap string) {
 	if n < 2 {

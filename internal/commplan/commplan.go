@@ -8,22 +8,20 @@
 // compiled against and, for overlap-aware plans, which computation gates
 // which communication; because compilation resolves routing up front (the
 // plan builder runs the controller loop serially), steps of different
-// layers share no simulator state and every ready frontier can be submitted
-// to Backend.BatchMakespan as one batch — the packet backend then drains
-// all (step, phase, shard) jobs on one worker pool, and the analytic
-// backends run a parallel step loop. Zero-flow steps resolve inside the
-// frontier pass without any backend call, releasing their successors into
-// the same drain, so comm steps separated only by compute — including steps
-// of two adjacent iterations in a rolling window — still fuse into one
-// batch.
+// layers share no simulator state and the steps of one ready frontier form
+// one round of the drain, each priced by its own Backend.Makespan call.
+// Zero-flow steps resolve inside the frontier pass without any backend
+// call, releasing their successors into the same round, so comm steps
+// separated only by compute — including steps of two adjacent iterations in
+// a rolling window — still share one round.
 //
 // One drain loop serves every caller: Plan.Execute is the one-plan case of
-// MergedExec, which fuses several co-scheduled jobs' frontiers
-// (internal/tenancy) into each backend call.
+// MergedExec, which merges several co-scheduled jobs' frontiers
+// (internal/tenancy) into each round.
 //
 // Results are deterministic and byte-identical to pricing every step alone:
 // a step's makespan and per-flow finish times never depend on which other
-// steps shared its batch, and the drain visits steps in a deterministic
+// steps shared its round, and the drain visits steps in a deterministic
 // topological-ready order (the initial frontier in ID order, then steps in
 // the order their last dependency resolved). A Plan is reusable — Reset
 // keeps all step, dependency and scheduling arenas, so steady-state plan
@@ -229,10 +227,10 @@ func (p *Plan) Deps(id int) []int32 {
 }
 
 // BatchWidths reports, for each round of the last drain that priced any of
-// this plan's steps, how many of them that round's backend call carried, in
-// round order; the widths sum to the plan's simulated-step count. Execute
-// and MergedExec.Execute both record them. The slice is valid until the
-// next drain or Reset.
+// this plan's steps, how many of them that round priced, in round order;
+// the widths sum to the plan's simulated-step count. Execute and
+// MergedExec.Execute both record them. The slice is valid until the next
+// drain or Reset.
 func (p *Plan) BatchWidths() []int { return p.widths }
 
 // Makespans sums the simulated makespans of every step of the given kind —
@@ -372,13 +370,12 @@ func (p *Plan) releaseInto(id int32, indeg []int32, queue []int32) []int32 {
 }
 
 // Execute simulates the plan on b over g: the one-plan case of
-// MergedExec.Execute. Every frontier of ready simulated steps is submitted
-// as one BatchMakespan call (zero-flow steps resolve for free and
-// immediately release their successors into the same frontier). Per-step
-// makespans and per-flow finish times are byte-identical to pricing each
-// step alone with Makespan in ID order, at every backend worker count:
-// steps are independent simulations, so what shares a batch cannot
-// influence results.
+// MergedExec.Execute. Every frontier of ready simulated steps is one round,
+// each step priced by one Makespan call (zero-flow steps resolve for free
+// and immediately release their successors into the same frontier).
+// Per-step makespans and per-flow finish times are byte-identical to
+// pricing each step alone with Makespan in ID order: steps are independent
+// simulations, so the drain order cannot influence results.
 func (p *Plan) Execute(g *topo.Graph, b netsim.Backend) error {
 	return p.exec.Execute(g, b, []*Plan{p})
 }

@@ -72,7 +72,7 @@ func TestExecuteBatchedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := netsim.New(netsim.Config{Backend: backend, Workers: 4})
+		batched, err := netsim.New(netsim.Config{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,21 +9,19 @@ import (
 
 // MergedExec is the package's one frontier drain. It drains several
 // independent plans — one per co-scheduled training job (internal/tenancy),
-// or the single plan of Plan.Execute — on ONE shared backend, fusing every
-// round's ready frontiers across all plans into a single BatchMakespan
-// call. The packet backend then drains all (job, step, phase, shard) work
-// on one worker pool, so co-simulating N jobs exposes roughly N× the
-// shard-level concurrency of running them serially. Plans must not share
-// Flow pointers (each engine compiles its own), and the executor visits
-// plans in slice order and each plan's steps in its own deterministic
-// topological-ready order, so results are byte-identical across worker
-// counts and — with a canonically sorted plan slice — independent of job
-// submission order. Each plan records its own share of every round in
-// Plan.BatchWidths and Plan.Stats.
+// or the single plan of Plan.Execute — on ONE shared backend, collecting
+// every round's ready frontiers across all plans and pricing each collected
+// step with one Makespan call, in collection order. The rounds define each
+// plan's Plan.BatchWidths and Plan.Stats and, under Contend, which steps of
+// different plans run concurrently. Plans must not share Flow pointers
+// (each engine compiles its own), and the executor visits plans in slice
+// order and each plan's steps in its own deterministic topological-ready
+// order, so results are deterministic and — with a canonically sorted plan
+// slice — independent of job submission order.
 //
 // With Contend unset (the default), per-step results are byte-identical to
-// pricing each step alone: steps are independent simulations, so sharing
-// the pool is purely a scheduling optimisation.
+// pricing each step alone: steps are independent simulations, so what
+// shares a round cannot influence them.
 // With Contend set, steps of *different* plans that become ready in the
 // same round and at the same frontier position, and whose flows share a
 // link in some phase, are fused into one co-simulated workload (phase k of
@@ -31,11 +29,11 @@ import (
 // are priced under max-min contention with the neighbour tenant's flows
 // instead of in isolation. Link-disjoint steps are priced alone, bitwise as
 // without Contend. Steps of the same plan are never fused — within one
-// job, frontier batching is a simulator-throughput trick over steps that
-// are serialized in real time, whereas distinct jobs genuinely run
-// concurrently. Each member's time is read back from its own flows' Finish
-// fields, so Contend needs a backend that reports per-flow completion
-// times (netsim.FlowTimes); Execute rejects the analytic backends.
+// job, a round groups steps that are serialized in real time, whereas
+// distinct jobs genuinely run concurrently. Each member's time is read
+// back from its own flows' Finish fields, so Contend needs a backend that
+// reports per-flow completion times (netsim.FlowTimes); Execute rejects
+// the analytic backends.
 type MergedExec struct {
 	// Contend enables cross-plan contention pricing (see type comment).
 	Contend bool
@@ -43,8 +41,9 @@ type MergedExec struct {
 	// per-plan drain state, reused across calls.
 	states []mergedState
 
-	// merged-round scratch: the fused batch in submission order, each
-	// entry's owning plan and step ID, and each plan's slice of the round.
+	// merged-round scratch: the round's simulated steps in collection
+	// order, each entry's owning plan and step ID, and each plan's slice of
+	// the round.
 	batch  []netsim.Phases
 	owners []int32
 	ids    []int32
@@ -71,14 +70,14 @@ type mergedState struct {
 	indeg []int32
 	queue []int32
 	// roundOff/roundN locate the plan's simulated steps of the current
-	// round inside the merged batch (contended-mode grouping, and the
+	// round inside the merged round (contended-mode grouping, and the
 	// plan's own width of the round).
 	roundOff, roundN int32
 }
 
-// MergedStats reports the cumulative merged-frontier counters: how wide the
-// fused cross-plan batches were, and — in contended mode — how many steps
-// were co-simulated with a neighbour plan's steps.
+// MergedStats reports the cumulative merged-frontier counters: how many
+// merged rounds ran and how wide they were, and — in contended mode — how
+// many steps were co-simulated with a neighbour plan's steps.
 type MergedStats struct {
 	Batches    uint64
 	WidthMax   int
@@ -149,8 +148,8 @@ func (m *MergedExec) collectReady() int {
 }
 
 // Execute drains all plans to completion on b over g, one merged round of
-// ready simulated steps per BatchMakespan call. Empty plans are permitted.
-// See the type comment for the determinism and contention contracts.
+// ready simulated steps at a time. Empty plans are permitted. See the type
+// comment for the determinism and contention contracts.
 func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) error {
 	if m.Contend && !netsim.FlowTimes(b.Name()) {
 		return fmt.Errorf("commplan: contended pricing needs per-flow completion times; the %s backend reports only serialization bounds", b.Name())
@@ -211,19 +210,17 @@ func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) err
 }
 
 // simulateRound prices every step the current round collected, writing each
-// step's Makespan. Non-contended, the round is one BatchMakespan call —
-// per-step results identical to a solo drain. Contended, steps of different
-// plans at the same frontier position fuse into one co-simulated workload
-// when their flows share a link in some phase; steps with no cross-plan
-// partner, or none they share a link with, still run solo.
+// step's Makespan. Non-contended, each step is priced alone, in collection
+// order. Contended, steps of different plans at the same frontier position
+// fuse into one co-simulated workload when their flows share a link in some
+// phase; steps with no cross-plan partner, or none they share a link with,
+// still run solo.
 func (m *MergedExec) simulateRound(g *topo.Graph, b netsim.Backend) error {
 	if !m.Contend {
-		ms, err := b.BatchMakespan(g, m.batch)
-		if err != nil {
-			return err
-		}
-		for k, id := range m.ids {
-			m.states[m.owners[k]].p.steps[id].Makespan = ms[k]
+		for bi := range m.ids {
+			if err := m.simulateSolo(g, b, int32(bi)); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -250,14 +247,21 @@ func (m *MergedExec) simulateRound(g *topo.Graph, b netsim.Backend) error {
 			if k >= st.roundN {
 				continue
 			}
-			bi := st.roundOff + k
-			ms, err := b.Makespan(g, m.batch[bi])
-			if err != nil {
+			if err := m.simulateSolo(g, b, st.roundOff+k); err != nil {
 				return err
 			}
-			m.states[m.owners[bi]].p.steps[m.ids[bi]].Makespan = ms
 		}
 	}
+	return nil
+}
+
+// simulateSolo prices the round's collected step bi alone.
+func (m *MergedExec) simulateSolo(g *topo.Graph, b netsim.Backend, bi int32) error {
+	ms, err := b.Makespan(g, m.batch[bi])
+	if err != nil {
+		return err
+	}
+	m.states[m.owners[bi]].p.steps[m.ids[bi]].Makespan = ms
 	return nil
 }
 

@@ -14,7 +14,7 @@ func TestMergedMatchesSoloExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := netsim.New(netsim.Config{Backend: backend, Workers: 2})
+		shared, err := netsim.New(netsim.Config{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +80,8 @@ func TestMergedEmptyAndSinglePlans(t *testing.T) {
 
 func TestMergedContendedDeterministicAndSlower(t *testing.T) {
 	c, steps := testWorkload(t, 6)
-	run := func(workers int) (*Plan, *Plan, MergedStats) {
-		b, err := netsim.New(netsim.Config{Backend: "packet", Workers: workers})
+	run := func() (*Plan, *Plan, MergedStats) {
+		b, err := netsim.New(netsim.Config{Backend: "packet"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,16 +95,16 @@ func TestMergedContendedDeterministicAndSlower(t *testing.T) {
 		}
 		return pa, pb, m.Stats()
 	}
-	a1, b1, s1 := run(1)
-	a4, b4, _ := run(4)
+	a1, b1, s1 := run()
+	a2, b2, _ := run()
 	for i := 0; i < a1.Len(); i++ {
-		if a1.Step(i).Makespan != a4.Step(i).Makespan {
-			t.Fatalf("contended plan A step %d differs across worker counts", i)
+		if a1.Step(i).Makespan != a2.Step(i).Makespan {
+			t.Fatalf("contended plan A step %d differs across runs", i)
 		}
 	}
 	for i := 0; i < b1.Len(); i++ {
-		if b1.Step(i).Makespan != b4.Step(i).Makespan {
-			t.Fatalf("contended plan B step %d differs across worker counts", i)
+		if b1.Step(i).Makespan != b2.Step(i).Makespan {
+			t.Fatalf("contended plan B step %d differs across runs", i)
 		}
 	}
 	if s1.FusedSteps == 0 {

@@ -7,24 +7,17 @@ import (
 	"mixnet/internal/topo"
 )
 
-// countingBackend wraps a backend and counts the simulated steps submitted
-// to it, so tests can prove zero-flow steps never reach the backend.
+// countingBackend wraps a backend and counts its Makespan calls, so tests
+// can prove zero-flow steps never reach the backend and every simulated
+// step is priced by exactly one call.
 type countingBackend struct {
 	netsim.Backend
-	steps   int
-	batches int
+	steps int
 }
 
 func (c *countingBackend) Makespan(g *topo.Graph, p netsim.Phases) (float64, error) {
 	c.steps++
-	c.batches++
 	return c.Backend.Makespan(g, p)
-}
-
-func (c *countingBackend) BatchMakespan(g *topo.Graph, steps []netsim.Phases) ([]float64, error) {
-	c.steps += len(steps)
-	c.batches++
-	return c.Backend.BatchMakespan(g, steps)
 }
 
 // buildOverlapPlan assembles an overlap-shaped window over nLayers layers:
@@ -95,7 +88,7 @@ func buildOverlapPlan(p *Plan, steps []netsim.Phases, echoBuf []int) (bwdLo int,
 // including the cross-iteration prefix A2A in the first drain.
 func TestComputeStepsPricedWithoutBackendCalls(t *testing.T) {
 	c, steps := testWorkload(t, 7)
-	inner, err := netsim.New(netsim.Config{Backend: "analytic", Workers: 2})
+	inner, err := netsim.New(netsim.Config{Backend: "analytic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +122,12 @@ func TestComputeStepsPricedWithoutBackendCalls(t *testing.T) {
 	if len(widths) == 0 || widths[0] != 2 {
 		t.Errorf("batch widths %v, want the first drain to fuse 2 steps from adjacent iterations", widths)
 	}
-	if b.batches != len(widths) {
-		t.Errorf("backend saw %d batch calls, widths recorded %d", b.batches, len(widths))
+	priced := 0
+	for _, w := range widths {
+		priced += w
+	}
+	if priced != b.steps {
+		t.Errorf("rounds priced %d steps (widths %v), backend saw %d Makespan calls", priced, widths, b.steps)
 	}
 }
 

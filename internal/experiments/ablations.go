@@ -311,7 +311,7 @@ func AblationCongestionControl() (Table, error) {
 			fluidFCT = append(fluidFCT, f.Finish-f.Start)
 		}
 		for _, cc := range packetsim.CCNames() {
-			b, err := netsim.New(netsim.Config{Backend: "packet", CC: cc, Workers: defaults.Exec.Workers})
+			b, err := netsim.New(netsim.Config{Backend: "packet", CC: cc})
 			if err != nil {
 				return t, err
 			}
@@ -370,7 +370,7 @@ func AblationFluidVsPacket() (Table, error) {
 		phases := netsim.Phases{fs}
 		times := make(map[string]float64, 3)
 		for _, name := range netsim.Names() {
-			b, err := netsim.New(netsim.Config{Backend: name, Workers: defaults.Exec.Workers})
+			b, err := netsim.New(netsim.Config{Backend: name})
 			if err != nil {
 				return t, err
 			}

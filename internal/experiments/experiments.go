@@ -20,11 +20,8 @@ import (
 // Defaults is the execution configuration every experiment engine runs
 // with unless its options say otherwise.
 type Defaults struct {
-	// Exec selects the netsim backend, the packet backend's congestion
-	// controller and its event-loop pool size. It is distinct from the
-	// experiment-level worker pool (RunIDs): that parallelises across
-	// experiments, Exec.Workers the flow shards inside one packet-level
-	// simulation.
+	// Exec selects the netsim backend and the packet backend's congestion
+	// controller.
 	Exec netsim.Config
 	// Overlap is the compute/communication overlap discipline
 	// (trainsim.Options.Overlap); "" and "none" keep the historical serial

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestAblationOverlapShape: overlap disciplines must never slow an
 // iteration down (edges only relax the serial ordering), must materialise
@@ -36,34 +33,5 @@ func TestAblationOverlapShape(t *testing.T) {
 	}
 	if bound := parseF(t, tab.Rows[2][7]); bound <= 25 {
 		t.Errorf("rolling-window pooled event bound %.2fx not above the 25x batching baseline", bound)
-	}
-}
-
-// TestMultiCoreWallClock: the report must always carry the structural
-// event-concurrency bound, mark single-core hosts, and only claim a
-// wall-clock speedup when a second core exists to run shards on.
-func TestMultiCoreWallClock(t *testing.T) {
-	t.Parallel()
-	rep := MultiCoreWallClock()
-	if rep == nil {
-		t.Fatal("no multi-core report")
-	}
-	if rep.Cores != runtime.GOMAXPROCS(0) {
-		t.Errorf("cores %d != GOMAXPROCS %d", rep.Cores, runtime.GOMAXPROCS(0))
-	}
-	if rep.EventBound <= 1 {
-		t.Errorf("structural event bound %.2fx, want > 1x", rep.EventBound)
-	}
-	if rep.SerialSec <= 0 || rep.Steps == 0 || rep.Flows == 0 {
-		t.Errorf("degenerate workload: %+v", rep)
-	}
-	if rep.SingleCore != (rep.Cores == 1) {
-		t.Errorf("single_core marker %v inconsistent with %d cores", rep.SingleCore, rep.Cores)
-	}
-	if rep.SingleCore && (rep.Speedup != 0 || rep.ShardedSec != 0) {
-		t.Errorf("single-core host claims a sharded measurement: %+v", rep)
-	}
-	if !rep.SingleCore && rep.Speedup <= 0 {
-		t.Errorf("multi-core host measured no speedup: %+v", rep)
 	}
 }

@@ -51,9 +51,7 @@ type TenancyReport struct {
 	Iterations int    `json:"iterations"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	HostCores  int    `json:"host_cores"`
-	// SingleCore marks hosts where GOMAXPROCS == 1: the structural speedup
-	// still holds but pooled wall-clock gains are not measurable (as with
-	// the packet backend's multi_core entry).
+	// SingleCore marks hosts where GOMAXPROCS == 1.
 	SingleCore bool            `json:"single_core,omitempty"`
 	Tenants    []TenancyTenant `json:"tenants"`
 	// CoSimSec is the merged-frontier co-simulation's wall clock for all
@@ -68,11 +66,12 @@ type TenancyReport struct {
 	Identical bool `json:"cosim_identical_to_serial"`
 	// StructuralSpeedup is the event-level critical-path ratio: a serial-sum
 	// drain pays each tenant's largest packet-event shard in sequence
-	// (Σ max_shard_j) while the pooled drain's floor is the single largest
-	// shard overall (max_j max_shard_j).
+	// (Σ max_shard_j) while a drain of every tenant's shards on parallel
+	// event loops would wait only for the single largest shard overall
+	// (max_j max_shard_j). It is a bound, not a measured speedup.
 	StructuralSpeedup float64 `json:"structural_speedup"`
 	// PooledEventBound is total packet events over the largest single shard
-	// — the concurrency a pooled drain of all tenants' jobs exposes.
+	// — the concurrency a parallel drain of all tenants' shards could use.
 	PooledEventBound float64 `json:"pooled_event_concurrency_bound"`
 	// Merged frontier statistics of the co-sim drain.
 	MergedBatches    uint64  `json:"merged_batches"`
@@ -87,8 +86,8 @@ type TenancyReport struct {
 // quick-Mixtral (one replica) and every further tenant the DP-heavy
 // neighbour (the same model at DP=2) — the interference cohort. Without,
 // all tenants are identical quick-Mixtral replicas under different seeds —
-// the pooling cohort, where no single tenant's shard dominates the pool and
-// the serial-sum comparison is apples to apples.
+// the pooling cohort, where no single tenant's shard dominates and the
+// serial-sum comparison is apples to apples.
 func tenancyJobs(tenants int, seed int64, dpHeavy bool) []tenancy.Job {
 	m := moe.Mixtral8x7B
 	base := planFor(m, Quick, 0)
@@ -170,7 +169,7 @@ func TenancyBench(scale Scale, tenants int) (Table, *TenancyReport, error) {
 		SingleCore: runtime.GOMAXPROCS(0) <= 1,
 	}
 
-	// Merged co-sim drain: all tenants' plans on one shared backend pool.
+	// Merged co-sim drain: all tenants' plans on one shared backend.
 	cs, err := tenancy.New(tenancyCfg(), jobs)
 	if err != nil {
 		return t, nil, err
@@ -203,7 +202,7 @@ func TenancyBench(scale Scale, tenants int) (Table, *TenancyReport, error) {
 
 	// Event-level critical paths from the packet replay of each tenant's
 	// last plan: serial-sum pays each tenant's largest shard in sequence,
-	// the pooled drain only the largest shard overall.
+	// a parallel drain of every shard only the largest shard overall.
 	var sumMax, allMax, totalEvents uint64
 	for _, tr := range cs.Tenants {
 		total, maxShard, err := planEvents(tr.Engine)

@@ -3,9 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mixnet/internal/topo"
 )
@@ -58,13 +55,6 @@ type Analytic struct {
 	frac      []float64
 	level     [2][]topo.NodeID
 	pend      []pendCharge
-
-	// BatchMakespan state: a lazily grown pool of worker clones (each with
-	// its own arenas and router, since the arenas above are single-threaded)
-	// plus reusable result/error slices.
-	pool  []*Analytic
-	batch []float64
-	errs  []error
 }
 
 // pendCharge is one buffered fractional link charge (by storage slot).
@@ -286,56 +276,4 @@ func (a *Analytic) Makespan(g *topo.Graph, phases Phases) (float64, error) {
 		total += phase
 	}
 	return total, nil
-}
-
-// BatchMakespan implements Backend with a parallel step loop: steps are
-// mutually independent bound computations, so they run concurrently on a
-// pool of worker clones (bounded by GOMAXPROCS), each with its own arenas.
-// Per-step results are byte-identical to serial Makespan calls — the same
-// deterministic float sequence runs per step, only the step scheduling is
-// concurrent. The returned slice is owned by the backend and valid until
-// the next call; when several steps fail, the lowest-indexed step's error
-// wins so error reporting is independent of scheduling.
-func (a *Analytic) BatchMakespan(g *topo.Graph, steps []Phases) ([]float64, error) {
-	n := len(steps)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		out, err := SerialBatch(a, g, steps, a.batch)
-		a.batch = out[:0:cap(out)]
-		return out, err
-	}
-	if cap(a.batch) < n || cap(a.errs) < n {
-		a.batch = make([]float64, n)
-		a.errs = make([]error, n)
-	}
-	out, errs := a.batch[:n], a.errs[:n]
-	for len(a.pool) < workers {
-		a.pool = append(a.pool, &Analytic{ecmp: a.ecmp})
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		worker := a.pool[w]
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], errs[i] = worker.Makespan(g, steps[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -12,10 +12,9 @@ import (
 // repeated Makespan calls over same-sized phases perform zero steady-state
 // heap allocations.
 type Fluid struct {
-	sim   flowsim.Sim
-	buf   []flowsim.Flow
-	ptrs  []*flowsim.Flow
-	batch []float64
+	sim  flowsim.Sim
+	buf  []flowsim.Flow
+	ptrs []*flowsim.Flow
 }
 
 // NewFluid returns a reusable fluid backend.
@@ -51,14 +50,4 @@ func (fl *Fluid) Makespan(g *topo.Graph, phases Phases) (float64, error) {
 		total += res.Makespan
 	}
 	return total, nil
-}
-
-// BatchMakespan implements Backend via the serial adapter: the fluid solver
-// is a single-threaded fixed-point iteration with a shared arena, so steps
-// run one after another. The returned slice is owned by the backend and
-// valid until the next call.
-func (fl *Fluid) BatchMakespan(g *topo.Graph, steps []Phases) ([]float64, error) {
-	out, err := SerialBatch(fl, g, steps, fl.batch)
-	fl.batch = out[:0:cap(out)]
-	return out, err
 }

@@ -56,57 +56,47 @@ func foldFlows(t *testing.T, c *topo.Cluster) netsim.Phases {
 
 // TestFoldedClusterByteIdenticalAcrossBackends runs the same leader
 // all-to-all on the eager and the partially materialized folded build of
-// one fat-tree through every backend — fluid, packet at 1 and 8 workers,
-// and both analytic bounds — and requires bitwise-equal makespans and
-// per-flow completion times.
+// one fat-tree through every backend — fluid, packet and both analytic
+// bounds — and requires bitwise-equal makespans and per-flow completion
+// times.
 func TestFoldedClusterByteIdenticalAcrossBackends(t *testing.T) {
 	t.Parallel()
 	eager, folded := foldedPair(t)
-	configs := []struct {
-		name    string
-		workers int
-	}{
-		{"fluid", 0},
-		{"packet", 1},
-		{"packet", 8},
-		{"analytic", 0},
-		{"analytic-ecmp", 0},
-	}
-	for _, cfg := range configs {
+	for _, name := range netsim.Names() {
 		ep := foldFlows(t, eager)
 		fp := foldFlows(t, folded)
 		for ph := range ep {
 			for i := range ep[ph] {
 				if ef, ff := ep[ph][i], fp[ph][i]; ef.ID != ff.ID || ef.Bytes != ff.Bytes ||
 					len(ef.Path) != len(ff.Path) {
-					t.Fatalf("%s: flow table diverges at phase %d flow %d", cfg.name, ph, i)
+					t.Fatalf("%s: flow table diverges at phase %d flow %d", name, ph, i)
 				}
 			}
 		}
-		be, err := netsim.New(netsim.Config{Backend: cfg.name, Workers: cfg.workers})
+		be, err := netsim.New(netsim.Config{Backend: name})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bf, err := netsim.New(netsim.Config{Backend: cfg.name, Workers: cfg.workers})
+		bf, err := netsim.New(netsim.Config{Backend: name})
 		if err != nil {
 			t.Fatal(err)
 		}
 		me, err := be.Makespan(eager.G, ep)
 		if err != nil {
-			t.Fatalf("%s/w%d eager: %v", cfg.name, cfg.workers, err)
+			t.Fatalf("%s eager: %v", name, err)
 		}
 		mf, err := bf.Makespan(folded.G, fp)
 		if err != nil {
-			t.Fatalf("%s/w%d folded: %v", cfg.name, cfg.workers, err)
+			t.Fatalf("%s folded: %v", name, err)
 		}
 		if me != mf {
-			t.Errorf("%s/w%d: makespan eager %v folded %v", cfg.name, cfg.workers, me, mf)
+			t.Errorf("%s: makespan eager %v folded %v", name, me, mf)
 		}
 		for ph := range ep {
 			for i := range ep[ph] {
 				if ep[ph][i].Finish != fp[ph][i].Finish {
-					t.Errorf("%s/w%d: flow %d finish eager %v folded %v",
-						cfg.name, cfg.workers, ep[ph][i].ID, ep[ph][i].Finish, fp[ph][i].Finish)
+					t.Errorf("%s: flow %d finish eager %v folded %v",
+						name, ep[ph][i].ID, ep[ph][i].Finish, fp[ph][i].Finish)
 				}
 			}
 		}

@@ -7,7 +7,8 @@
 //     allocations.
 //   - packet: event-driven packet-level simulation (internal/packetsim) —
 //     htsim-style high fidelity for small configurations and
-//     cross-validation.
+//     cross-validation; each phase simulates as link-disjoint shards, one
+//     after another on one event loop.
 //   - analytic: an alpha-beta/bottleneck-counting model with no fixed-point
 //     iteration — a lower-bound estimate cheap enough for 32k-GPU-scale
 //     parameter sweeps.
@@ -44,7 +45,10 @@ type Phases [][]*Flow
 
 // Backend simulates phases over a topology graph. Implementations carry
 // reusable per-engine state (buffers, arenas), so a Backend must not be
-// used from multiple goroutines concurrently; create one per engine.
+// used from multiple goroutines concurrently; create one per engine. Every
+// backend prices a call on the caller's goroutine: parallelism lives above
+// the backends (experiments run in parallel, service queries run
+// concurrently), each with its own Backend.
 type Backend interface {
 	// Name returns the registry name ("fluid", "packet", "analytic").
 	Name() string
@@ -52,33 +56,6 @@ type Backend interface {
 	// summed per-phase completion time in seconds. Flow Finish fields are
 	// written in place.
 	Makespan(g *topo.Graph, phases Phases) (float64, error)
-	// BatchMakespan simulates a batch of mutually independent steps — each
-	// one a Phases workload that Makespan could simulate on its own — and
-	// returns the per-step makespans in step order. Per-step results
-	// (makespan and per-flow Finish fields) are byte-identical to calling
-	// Makespan once per step; what a backend may do differently is schedule
-	// the steps' internal work concurrently (the packet backend drains all
-	// (step, phase, shard) jobs on one worker pool, the analytic backends
-	// run a parallel step loop). Steps must not share Flow pointers.
-	BatchMakespan(g *topo.Graph, steps []Phases) ([]float64, error)
-}
-
-// SerialBatch implements BatchMakespan by calling b.Makespan once per step
-// in step order — the fallback adapter for backends with nothing to gain
-// from cross-step scheduling. out is reused when it has capacity.
-func SerialBatch(b Backend, g *topo.Graph, steps []Phases, out []float64) ([]float64, error) {
-	if cap(out) < len(steps) {
-		out = make([]float64, len(steps))
-	}
-	out = out[:len(steps)]
-	for i, ph := range steps {
-		ms, err := b.Makespan(g, ph)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ms
-	}
-	return out, nil
 }
 
 // DefaultName is the backend used when no name is given.
@@ -109,11 +86,6 @@ type Config struct {
 	// a configuration error rather than a silent no-op; "" and "fixed" are
 	// accepted everywhere.
 	CC string `json:"cc,omitempty"`
-	// Workers bounds the packet backend's pool of event loops, across which
-	// the link-disjoint flow shards of every submitted step simulate: 0 or
-	// 1 runs one loop, < 0 selects GOMAXPROCS. Per-flow results are
-	// byte-identical at every worker count; the other backends ignore it.
-	Workers int `json:"workers,omitempty"`
 }
 
 // BackendName returns the registry name c selects.

@@ -5,8 +5,9 @@ import "mixnet/internal/topo"
 // Partitioner splits a phase's flows into connected components over shared
 // links: two flows land in the same shard iff they are joined by a chain of
 // flows whose paths intersect. Components never exchange packets or share
-// queue state, so a backend may simulate each shard on its own event loop —
-// concurrently — and still reproduce the serial results byte-for-byte.
+// queue state, so the packet backend simulates each shard on its own — one
+// after another on one event loop, with a smaller event heap than the whole
+// phase — and still reproduces the unpartitioned results byte-for-byte.
 //
 // The decomposition is deterministic: shards are ordered by their first
 // flow's position in the input slice, and flows within a shard keep their

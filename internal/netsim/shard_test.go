@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"mixnet/internal/topo"
@@ -114,10 +113,24 @@ func TestPartitionSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// takeFinish records per-flow finish times and zeroes them, so a later run
+// over the same Flow pointers must write every one of them again to
+// compare byte for byte.
+func takeFinish(phases Phases) []float64 {
+	var out []float64
+	for _, fs := range phases {
+		for _, f := range fs {
+			out = append(out, f.Finish)
+			f.Finish = 0
+		}
+	}
+	return out
+}
+
 // TestPacketShardedByteIdentical: for every congestion controller, the
 // sharded packet backend must reproduce the serial reference — each phase
 // replayed unpartitioned on one event loop — per-flow finish times and
-// makespan bit-for-bit at every worker count.
+// makespan bit-for-bit, and a reused backend must do so call after call.
 func TestPacketShardedByteIdentical(t *testing.T) {
 	for _, tname := range []string{"fat-tree", "mixnet"} {
 		var c *topo.Cluster
@@ -127,24 +140,25 @@ func TestPacketShardedByteIdentical(t *testing.T) {
 			c = topo.BuildMixNet(topo.DefaultSpec(4, 100*topo.Gbps))
 		}
 		for _, cc := range []string{"fixed", "dcqcn", "swift"} {
-			// Two phases, so the cross-phase job pool is exercised too.
+			// Two phases of different sizes, so the per-phase sums and the
+			// buffer reuse across phases are exercised too.
 			phases := a2aPhases(t, c, 4<<20)
 			phases = append(phases, a2aPhases(t, c, 1<<20)[0])
 			wantMs := serialPacket(t, c.G, phases, cc)
-			want := takeFinish([]Phases{phases})
-			for _, workers := range []int{0, 1, 2, 4, 8} {
-				b := NewPacket(Config{CC: cc, Workers: workers})
+			want := takeFinish(phases)
+			b := NewPacket(Config{CC: cc})
+			for run := 0; run < 2; run++ {
 				ms, err := b.Makespan(c.G, phases)
 				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", tname, cc, workers, err)
+					t.Fatalf("%s/%s run %d: %v", tname, cc, run, err)
 				}
 				if ms != wantMs {
-					t.Errorf("%s/%s workers=%d: makespan %v, serial %v", tname, cc, workers, ms, wantMs)
+					t.Errorf("%s/%s run %d: makespan %v, serial %v", tname, cc, run, ms, wantMs)
 				}
-				for i, f := range takeFinish([]Phases{phases}) {
+				for i, f := range takeFinish(phases) {
 					if f != want[i] {
-						t.Fatalf("%s/%s workers=%d: flow finish %d = %v, serial %v",
-							tname, cc, workers, i, f, want[i])
+						t.Fatalf("%s/%s run %d: flow finish %d = %v, serial %v",
+							tname, cc, run, i, f, want[i])
 					}
 				}
 			}
@@ -152,39 +166,23 @@ func TestPacketShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPacketShardedSteadyStateAllocsStable: the shard merge path reuses its
-// arenas, so a reused sharded backend's per-call allocations must not grow
+// TestPacketShardedSteadyStateAllocsStable: the shard loop reuses its
+// arenas, so a reused packet backend's per-call allocations must not grow
 // run over run.
 func TestPacketShardedSteadyStateAllocsStable(t *testing.T) {
 	c := topo.BuildFatTree(topo.DefaultSpec(4, 100*topo.Gbps))
 	phases := a2aPhases(t, c, 1<<20)
-	b := NewPacket(Config{Workers: 4})
+	b := NewPacket(Config{})
 	run := func() {
 		if _, err := b.Makespan(c.G, phases); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm-up: grow partitioner arenas, shard pool, event queues
+	run() // warm-up: grow partitioner arenas, flow buffer, event queue
 	first := testing.AllocsPerRun(5, run)
 	second := testing.AllocsPerRun(5, run)
 	if second > first {
 		t.Errorf("sharded packet allocs grew run over run: %v -> %v", first, second)
-	}
-}
-
-// TestNewWorkers: Workers 0 must resolve to one event loop, not fall
-// through to packetsim's GOMAXPROCS default; a negative count selects
-// GOMAXPROCS; the other backends accept and ignore it.
-func TestNewWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{0, 1}, {1, 1}, {4, 4}, {-1, runtime.GOMAXPROCS(0)}} {
-		if got := NewPacket(Config{Workers: tc.in}).Workers(); got != tc.want {
-			t.Errorf("workers %d resolved to %d, want %d", tc.in, got, tc.want)
-		}
-	}
-	for _, name := range append(Names(), "") {
-		if _, err := New(Config{Backend: name, Workers: 8}); err != nil {
-			t.Errorf("New(%q, workers 8): %v", name, err)
-		}
 	}
 }
 

@@ -216,3 +216,44 @@ func TestCCSteadyStateAllocsStable(t *testing.T) {
 		})
 	}
 }
+
+// TestECNThresholdScalesWithLinkSpeed: on a heterogeneous path the marking
+// threshold must scale with link speed class. With the reference at the
+// slowest class (the default), a fast first hop tolerates its startup burst
+// — the same queueing *delay* any slow link tolerates — whereas expressing
+// the same packet depth at the fast class (ECNRefBps = fast) over-marks
+// both hops.
+func TestECNThresholdScalesWithLinkSpeed(t *testing.T) {
+	build := func() (*topo.Graph, []*Flow) {
+		g := topo.NewGraph()
+		src := g.AddNode(topo.KindNIC, "", -1, -1, -1)
+		mid := g.AddNode(topo.KindTor, "", -1, -1, -1)
+		dst := g.AddNode(topo.KindNIC, "", -1, -1, -1)
+		g.AddDuplex(src, mid, 64e9, 1e-6) // fast class
+		g.AddDuplex(mid, dst, 8e9, 1e-6)  // slow class
+		rt, err := topo.NewBFSRouter(g).Route(src, dst, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, []*Flow{{ID: 1, Path: rt, Bytes: 16 << 20}}
+	}
+	marks := func(refBps float64) int64 {
+		g, flows := build()
+		res, err := Simulate(g, flows, Config{CC: CCDCQCN, ECNRefBps: refBps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Marks
+	}
+	auto := marks(0)       // reference resolves to the slowest class (8e9)
+	slowRef := marks(8e9)  // explicit slow reference: identical
+	fastRef := marks(64e9) // constant depth at the fast class: over-marks
+	if auto != slowRef {
+		t.Errorf("auto reference marks %d != explicit slow-class marks %d", auto, slowRef)
+	}
+	if fastRef <= auto {
+		t.Errorf("fast-class reference marks %d, speed-scaled %d: scaling should reduce marking on heterogeneous links",
+			fastRef, auto)
+	}
+	t.Logf("marks: speed-scaled %d, constant-depth-at-fast-class %d", auto, fastRef)
+}

@@ -1,11 +1,10 @@
 // Package scenario unifies workload execution across the simulation
 // backends: the same named scenarios — the synthetic gate, recorded-trace
 // replay (internal/trace) and the §5.4 failure drills (internal/failure) —
-// run unchanged on the fluid, packet (optionally sharded across Workers
-// event loops) or analytic substrate. Before this runner existed only the
-// synthetic gate had been exercised at packet fidelity; now every scenario
-// in the matrix is a one-call packet-level run, and cross-backend fidelity
-// comparisons feed off identical workloads.
+// run unchanged on the fluid, packet or analytic substrate. Before this
+// runner existed only the synthetic gate had been exercised at packet
+// fidelity; now every scenario in the matrix is a one-call packet-level
+// run, and cross-backend fidelity comparisons feed off identical workloads.
 package scenario
 
 import (
@@ -35,8 +34,8 @@ type Config struct {
 	// runtime reconfiguration, so every drill in the matrix is meaningful).
 	Fabric string
 	// Config selects the netsim substrate ("fluid" by default, "packet",
-	// "analytic" or "analytic-ecmp"), the packet backend's congestion
-	// controller and its event-loop pool size.
+	// "analytic" or "analytic-ecmp") and the packet backend's congestion
+	// controller.
 	netsim.Config
 	// LinkGbps is the NIC line rate in Gbit/s (default 400).
 	LinkGbps float64

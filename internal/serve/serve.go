@@ -24,7 +24,7 @@ import (
 type QueryConfig struct {
 	Model  string `json:"model,omitempty"`
 	Fabric string `json:"fabric,omitempty"`
-	// Config carries the backend, cc and workers keys.
+	// Config carries the backend and cc keys.
 	netsim.Config
 	LinkGbps         float64 `json:"link_gbps,omitempty"`
 	DP               int     `json:"dp,omitempty"`

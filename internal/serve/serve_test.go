@@ -720,6 +720,7 @@ func TestInvalidQueriesRejected(t *testing.T) {
 		`{"reconfig_delay_sec":-1}`,
 		`{"dp":-1}`,
 		`{"fold":true}`,
+		`{"workers":4}`,
 		`{"fabric":"fat-tree","first_a2a":"bogus"}`,
 	}
 	for _, body := range bodies {

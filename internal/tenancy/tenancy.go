@@ -3,21 +3,18 @@
 // its own model, parallelisation, gate seed and first-A2A policy — placed
 // on a server slice of one cluster, with regional OCS domains isolated per
 // tenant (topo.Cluster.IsolateTenants) and every iteration's communication
-// plans drained together in fused cross-job frontiers on ONE shared netsim
-// backend (commplan.MergedExec). The sharded packet pool then works all
-// (job, step, phase, shard) jobs at once, so co-simulating the tenants
-// exposes the sum of their shard-level concurrency instead of paying each
-// job's critical drain in sequence.
+// plans drained together in merged cross-job frontiers on ONE shared netsim
+// backend (commplan.MergedExec), one Makespan call per simulated step.
 //
 // Determinism: tenants are ordered canonically (by name) regardless of
 // submission order, every engine builds its plan before any plan executes,
 // and the merged drain visits (tenant, step) pairs in a fixed order —
-// co-sim results are byte-identical across backend worker counts and job
-// submission orders. With contention pricing off, they are also bitwise
-// identical to running each tenant alone on its slice (steps of different
-// jobs never influence each other's simulations); Contend trades that
-// identity for fidelity, co-simulating concurrent cross-tenant steps so
-// shared-link interference is priced by the flows themselves.
+// co-sim results are byte-identical run over run and across job submission
+// orders. With contention pricing off, they are also bitwise identical to
+// running each tenant alone on its slice (steps of different jobs never
+// influence each other's simulations); Contend trades that identity for
+// fidelity, co-simulating concurrent cross-tenant steps so shared-link
+// interference is priced by the flows themselves.
 //
 // Disjoint slices do not imply disjoint links. On TopoOpt a tenant's
 // traffic is forwarded through its neighbour's hosts, and on three-tier
@@ -80,8 +77,7 @@ type Config struct {
 	// "topoopt" or "mixnet" (default).
 	Fabric string
 	// Config selects the shared netsim substrate every tenant's plan drains
-	// on ("fluid" by default), its congestion controller and event-loop
-	// pool size.
+	// on ("fluid" by default) and its congestion controller.
 	netsim.Config
 	// LinkGbps is the NIC line rate in Gbit/s (default 400).
 	LinkGbps float64
@@ -371,7 +367,7 @@ func (cs *CoSim) Run(iters int) error {
 }
 
 // MergedStats returns the merged executor's cumulative frontier counters —
-// the pooled cross-job batch widths the shared backend drained.
+// the widths of the merged cross-job rounds the shared backend priced.
 func (cs *CoSim) MergedStats() commplan.MergedStats { return cs.merged.Stats() }
 
 // Tenant returns the named tenant's run, or nil.
@@ -388,8 +384,7 @@ func (cs *CoSim) Tenant(name string) *TenantRun {
 // co-simulation whose tenants run one after another, each engine draining
 // its own plans on its own backend (trainsim.Engine.RunIteration) with the
 // fabric to itself — no merged frontiers, no arbitration, no contention.
-// With Contend off, CoSim.Run reproduces these results bitwise; the
-// difference is purely wall clock and pool utilisation.
+// With Contend off, CoSim.Run reproduces these results bitwise.
 func RunSerial(cfg Config, jobs []Job, iters int) (*CoSim, error) {
 	solo := cfg
 	solo.Contend = false

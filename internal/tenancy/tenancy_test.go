@@ -29,8 +29,8 @@ func tinyJobs() []Job {
 	}
 }
 
-func tinyConfig(backend string, workers int) Config {
-	return Config{Fabric: "mixnet", Config: netsim.Config{Backend: backend, Workers: workers}, LinkGbps: 100}
+func tinyConfig(backend string) Config {
+	return Config{Fabric: "mixnet", Config: netsim.Config{Backend: backend}, LinkGbps: 100}
 }
 
 // timeSharedJobs pins both tiny tenants to servers 0-3. Static fabrics
@@ -45,8 +45,8 @@ func timeSharedJobs() []Job {
 	return jobs
 }
 
-func fatTreeConfig(backend string, workers int) Config {
-	c := tinyConfig(backend, workers)
+func fatTreeConfig(backend string) Config {
+	c := tinyConfig(backend)
 	c.Fabric = "fat-tree"
 	return c
 }
@@ -110,13 +110,12 @@ func runSerialReference(t *testing.T, cfg Config, jobs []Job, iters int) *CoSim 
 }
 
 // Disjoint-slice tenants must reproduce their solo runs, priced step by
-// step, bitwise: a merged drain on one shared pool is a scheduling
-// optimisation, not a semantic change. With GOMAXPROCS > 1 the analytic
-// backends price a merged round on parallel worker clones.
+// step, bitwise: a merged drain on one shared backend changes the order
+// steps are priced in, not their results.
 func TestCoSimMatchesSerialBitwise(t *testing.T) {
 	for _, backend := range netsim.Names() {
-		cs := runCoSim(t, tinyConfig(backend, 2), tinyJobs(), 3)
-		serial := runSerialReference(t, tinyConfig(backend, 2), tinyJobs(), 3)
+		cs := runCoSim(t, tinyConfig(backend), tinyJobs(), 3)
+		serial := runSerialReference(t, tinyConfig(backend), tinyJobs(), 3)
 		for i, tr := range cs.Tenants {
 			if got, want := digest(t, tr.Stats), digest(t, serial.Tenants[i].Stats); got != want {
 				t.Fatalf("%s: tenant %q co-sim diverged from serial solo run:\n co-sim %s\n serial %s",
@@ -148,7 +147,7 @@ func TestAutoBasePacking(t *testing.T) {
 		{tinyJobs(), 8, []placement{{"a", 0, "[0 1]"}, {"b", 4, "[2 3]"}}},
 		{append(tinyJobs(), wide), 16, []placement{{"a", 0, "[0 1]"}, {"a2", 4, "[2 3 4 5]"}, {"b", 12, "[6 7]"}}},
 	} {
-		cs, err := New(tinyConfig("fluid", 0), tc.jobs)
+		cs, err := New(tinyConfig("fluid"), tc.jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,22 +164,20 @@ func TestAutoBasePacking(t *testing.T) {
 	}
 }
 
-// Co-sim results must be byte-identical across backend worker counts and
-// independent of job submission order.
+// Co-sim results must be byte-identical run over run and independent of
+// job submission order.
 func TestCoSimDeterminism(t *testing.T) {
-	ref := runCoSim(t, tinyConfig("packet", 1), tinyJobs(), 2)
-	for _, workers := range []int{2, 8} {
-		cs := runCoSim(t, tinyConfig("packet", workers), tinyJobs(), 2)
-		for i, tr := range cs.Tenants {
-			if digest(t, tr.Stats) != digest(t, ref.Tenants[i].Stats) {
-				t.Fatalf("workers=%d: tenant %q diverged from workers=1", workers, tr.Job.Name)
-			}
+	ref := runCoSim(t, tinyConfig("packet"), tinyJobs(), 2)
+	again := runCoSim(t, tinyConfig("packet"), tinyJobs(), 2)
+	for i, tr := range again.Tenants {
+		if digest(t, tr.Stats) != digest(t, ref.Tenants[i].Stats) {
+			t.Fatalf("tenant %q diverged between two identical runs", tr.Job.Name)
 		}
 	}
 	// Submission order reversed; results keyed by tenant name must match.
 	jobs := tinyJobs()
 	jobs[0], jobs[1] = jobs[1], jobs[0]
-	cs := runCoSim(t, tinyConfig("packet", 2), jobs, 2)
+	cs := runCoSim(t, tinyConfig("packet"), jobs, 2)
 	for _, tr := range ref.Tenants {
 		got := cs.Tenant(tr.Job.Name)
 		if got == nil || digest(t, got.Stats) != digest(t, tr.Stats) {
@@ -189,21 +186,19 @@ func TestCoSimDeterminism(t *testing.T) {
 	}
 }
 
-// Contention pricing stays deterministic (worker counts, submission order)
-// and never makes a tenant faster than its solo run.
+// Contention pricing stays deterministic run over run and never makes a
+// tenant faster than its solo run.
 func TestContendedCoSimDeterministicAndSlower(t *testing.T) {
-	cfg := fatTreeConfig("packet", 1)
+	cfg := fatTreeConfig("packet")
 	cfg.Contend = true
 	ref := runCoSim(t, cfg, timeSharedJobs(), 2)
-	cfg8 := fatTreeConfig("packet", 8)
-	cfg8.Contend = true
-	cs8 := runCoSim(t, cfg8, timeSharedJobs(), 2)
+	again := runCoSim(t, cfg, timeSharedJobs(), 2)
 	for i, tr := range ref.Tenants {
-		if digest(t, tr.Stats) != digest(t, cs8.Tenants[i].Stats) {
-			t.Fatalf("contended tenant %q diverged across worker counts", tr.Job.Name)
+		if digest(t, tr.Stats) != digest(t, again.Tenants[i].Stats) {
+			t.Fatalf("contended tenant %q diverged between two identical runs", tr.Job.Name)
 		}
 	}
-	solo, err := RunSerial(fatTreeConfig("packet", 1), timeSharedJobs(), 2)
+	solo, err := RunSerial(fatTreeConfig("packet"), timeSharedJobs(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +222,7 @@ func TestContendedCoSimDeterministicAndSlower(t *testing.T) {
 func TestContendedTopoOptPricesSharedHosts(t *testing.T) {
 	jobs := tinyJobs()
 	jobs[0].DP, jobs[1].DP = 4, 8 // 16 + 32 servers
-	cfg := tinyConfig("fluid", 0)
+	cfg := tinyConfig("fluid")
 	cfg.Fabric = "topoopt"
 	solo, err := RunSerial(cfg, jobs, 2)
 	if err != nil {
@@ -251,8 +246,8 @@ func TestContendedTopoOptPricesSharedHosts(t *testing.T) {
 // contended co-sim fuses nothing and reproduces the solo runs bitwise.
 func TestContendedDisjointTenantsMatchSolo(t *testing.T) {
 	for _, backend := range []string{"fluid", "packet"} {
-		solo := runSerialReference(t, tinyConfig(backend, 2), tinyJobs(), 3)
-		cfg := tinyConfig(backend, 2)
+		solo := runSerialReference(t, tinyConfig(backend), tinyJobs(), 3)
+		cfg := tinyConfig(backend)
 		cfg.Contend = true
 		cs := runCoSim(t, cfg, tinyJobs(), 3)
 		for i, tr := range cs.Tenants {
@@ -272,7 +267,7 @@ func TestContendedDisjointTenantsMatchSolo(t *testing.T) {
 // up.
 func TestContendedRejectsAnalytic(t *testing.T) {
 	for _, backend := range []string{"analytic", "analytic-ecmp"} {
-		cfg := tinyConfig(backend, 0)
+		cfg := tinyConfig(backend)
 		cfg.Contend = true
 		cs, err := New(cfg, tinyJobs())
 		if err != nil {
@@ -288,7 +283,7 @@ func TestContendedRejectsAnalytic(t *testing.T) {
 // backup server — must inflate only tenant a; tenant b's co-sim results
 // stay bitwise equal to its solo run, during the drill and after unwind.
 func TestCrossTenantStealLeavesNeighbourUntouched(t *testing.T) {
-	cfg := tinyConfig("fluid", 0)
+	cfg := tinyConfig("fluid")
 	iters := 3
 	solo, err := RunSerial(cfg, tinyJobs(), iters)
 	if err != nil {
@@ -336,8 +331,8 @@ func TestCrossTenantStealLeavesNeighbourUntouched(t *testing.T) {
 // Arbitration: unlimited slots reproduce the unarbitrated co-sim bitwise;
 // one shared slot charges deterministic waits that inflate Blocked/Time.
 func TestArbiterCoSim(t *testing.T) {
-	base := runCoSim(t, tinyConfig("fluid", 0), tinyJobs(), 2)
-	roomy := tinyConfig("fluid", 0)
+	base := runCoSim(t, tinyConfig("fluid"), tinyJobs(), 2)
+	roomy := tinyConfig("fluid")
 	roomy.ArbiterSlots = len(tinyJobs())
 	wide := runCoSim(t, roomy, tinyJobs(), 2)
 	for i, tr := range base.Tenants {
@@ -345,7 +340,7 @@ func TestArbiterCoSim(t *testing.T) {
 			t.Fatalf("tenant %q: ample arbiter slots changed results", tr.Job.Name)
 		}
 	}
-	tight := tinyConfig("fluid", 0)
+	tight := tinyConfig("fluid")
 	tight.ArbiterSlots = 1
 	narrow := runCoSim(t, tight, tinyJobs(), 2)
 	inflated := false
@@ -406,13 +401,13 @@ func TestArbiterWaves(t *testing.T) {
 
 func TestCoSimValidation(t *testing.T) {
 	// Duplicate and empty names.
-	if _, err := New(tinyConfig("fluid", 0), []Job{
+	if _, err := New(tinyConfig("fluid"), []Job{
 		{Name: "a", ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: AutoBase},
 		{Name: "a", ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: AutoBase},
 	}); err == nil {
 		t.Fatal("duplicate names accepted")
 	}
-	if _, err := New(tinyConfig("fluid", 0), []Job{
+	if _, err := New(tinyConfig("fluid"), []Job{
 		{ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: AutoBase},
 	}); err == nil {
 		t.Fatal("empty name accepted")
@@ -427,19 +422,19 @@ func TestCoSimValidation(t *testing.T) {
 		func(c *Config) { c.ReconfigDelaySec = math.Inf(1) },
 		func(c *Config) { c.ArbiterSlots = -3 },
 	} {
-		cfg := tinyConfig("fluid", 0)
+		cfg := tinyConfig("fluid")
 		mut(&cfg)
 		if _, err := New(cfg, tinyJobs()); err == nil {
 			t.Fatalf("link rate %g Gbps, delay %gs, %d arbiter slots accepted",
 				cfg.LinkGbps, cfg.ReconfigDelaySec, cfg.ArbiterSlots)
 		}
 	}
-	if _, err := New(tinyConfig("fluid", 0), []Job{
+	if _, err := New(tinyConfig("fluid"), []Job{
 		{Name: "a", Model: moe.Mixtral8x7B.Name, DP: -1, Base: AutoBase},
 	}); err == nil {
 		t.Fatal("DP -1 accepted")
 	}
-	cs, err := New(tinyConfig("fluid", 0), tinyJobs())
+	cs, err := New(tinyConfig("fluid"), tinyJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +446,7 @@ func TestCoSimValidation(t *testing.T) {
 	wide.EP, wide.PP = 32, 1
 	wideModel := tinyModel
 	wideModel.Experts = 32
-	if _, err := New(tinyConfig("fluid", 0), []Job{
+	if _, err := New(tinyConfig("fluid"), []Job{
 		{Name: "a", ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: AutoBase},
 		{Name: "b", ModelSpec: &wideModel, PlanSpec: &wide, Base: AutoBase},
 	}); err == nil {
@@ -462,10 +457,10 @@ func TestCoSimValidation(t *testing.T) {
 		{Name: "a", Seed: 1, ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: 0},
 		{Name: "b", Seed: 2, ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: 0},
 	}
-	if _, err := New(tinyConfig("fluid", 0), overlap); err == nil {
+	if _, err := New(tinyConfig("fluid"), overlap); err == nil {
 		t.Fatal("overlapping mixnet slices accepted")
 	}
-	ft := tinyConfig("fluid", 0)
+	ft := tinyConfig("fluid")
 	ft.Fabric = "fat-tree"
 	cs, err = New(ft, overlap)
 	if err != nil {
@@ -475,12 +470,12 @@ func TestCoSimValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Misaligned base on mixnet regions.
-	if _, err := New(tinyConfig("fluid", 0), []Job{
+	if _, err := New(tinyConfig("fluid"), []Job{
 		{Name: "a", ModelSpec: &tinyModel, PlanSpec: &tinyPlan, Base: 1},
 	}); err == nil {
 		t.Fatal("region-misaligned base accepted")
 	}
-	if _, err := New(tinyConfig("fluid", 0), nil); err == nil {
+	if _, err := New(tinyConfig("fluid"), nil); err == nil {
 		t.Fatal("empty job list accepted")
 	}
 }

@@ -59,29 +59,23 @@ func runPair(t *testing.T, desc string, serial, batched *Engine, n int) {
 // frontier-batched plan execution must reproduce the serial reference's
 // iteration stats exactly on every backend — on the reconfiguring MixNet
 // fabric (circuits detach mid-iteration, so deferred steps exercise frozen
-// links) in block and copilot mode, and against packet worker counts 1, 2
-// and 8.
+// links) in block and copilot mode.
 func TestBatchedIterationMatchesSerial(t *testing.T) {
 	modes := []FirstA2AMode{FirstA2ABlock, FirstA2ACopilot}
-	workerCounts := []int{1, 2, 8}
 	if testing.Short() {
-		// -short (the -race CI job) keeps one mode and one parallel worker
-		// count; the full sweep runs in the regular test job.
+		// -short (the -race CI job) keeps one mode; the full sweep runs in
+		// the regular test job.
 		modes = modes[:1]
-		workerCounts = []int{8}
 	}
 	for _, mode := range modes {
-		mk := func(backend string, workers int) *Engine {
+		mk := func(backend string) *Engine {
 			return newEngine(t, topo.FabricMixNet, Options{
 				GateSeed: 21, FirstA2A: mode, Device: ocs.NewFixedDevice(25e-3),
-				Config: netsim.Config{Backend: backend, Workers: workers},
+				Config: netsim.Config{Backend: backend},
 			})
 		}
-		for _, backend := range []string{"fluid", "analytic", "analytic-ecmp"} {
-			runPair(t, backend+"/"+mode.String(), mk(backend, 0), mk(backend, 0), 2)
-		}
-		for _, workers := range workerCounts {
-			runPair(t, mode.String(), mk("packet", 0), mk("packet", workers), 2)
+		for _, backend := range netsim.Names() {
+			runPair(t, backend+"/"+mode.String(), mk(backend), mk(backend), 2)
 		}
 	}
 }
@@ -92,16 +86,16 @@ func TestBatchedDPAllReduce(t *testing.T) {
 	spec := tinySpec(8)
 	plan := tinyPlan
 	plan.DP = 2
-	mk := func(workers int) *Engine {
+	mk := func() *Engine {
 		e, err := New(tinyModel, plan, topo.BuildFatTree(spec), Options{
-			GateSeed: 4, Config: netsim.Config{Backend: "packet", Workers: workers},
+			GateSeed: 4, Config: netsim.Config{Backend: "packet"},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	a, b := mk(0), mk(4)
+	a, b := mk(), mk()
 	runPair(t, "dp", a, b, 2)
 	if s := b.CommPlan(); s.Makespans(commplan.KindDP) <= 0 {
 		t.Error("DP step missing from the batched plan")
@@ -134,11 +128,13 @@ func TestBatchedFrontierWidth(t *testing.T) {
 	}
 }
 
-// TestBatchedPlanConcurrencyStats measures the event-level concurrency the
-// cross-step batch exposes on the packet backend at tiny scale: the
-// per-call fan-out bound (each step waits for its slowest shard) versus the
-// pool-wide bound (all steps' jobs drain together). The PERF.md quick
-// Mixtral numbers come from the same computation at full engine scale.
+// TestBatchedPlanConcurrencyStats measures two structural event-level
+// concurrency bounds of one iteration's plan on the packet backend at tiny
+// scale: per step (each step waits for its slowest shard) versus pooled
+// across steps (every shard of the plan drains together). Both are bounds
+// on what parallel event loops could gain, not measured speedups. The
+// PERF.md quick Mixtral numbers come from the same computation at full
+// engine scale.
 func TestBatchedPlanConcurrencyStats(t *testing.T) {
 	e := newEngine(t, topo.FabricMixNet, Options{
 		GateSeed: 9, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
@@ -162,9 +158,11 @@ func TestBatchedPlanConcurrencyStats(t *testing.T) {
 				continue
 			}
 			for _, shard := range part.Partition(len(g.Links), fs) {
+				buf := make([]packetsim.Flow, len(shard))
 				pf := make([]*packetsim.Flow, len(shard))
 				for i, f := range shard {
-					pf[i] = &packetsim.Flow{ID: f.ID, Path: f.Path, Bytes: int64(f.Bytes)}
+					buf[i] = netsim.PacketFlow(f)
+					pf[i] = &buf[i]
 				}
 				res, err := sim.Simulate(g, pf, cfg)
 				if err != nil {

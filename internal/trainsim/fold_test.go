@@ -31,13 +31,13 @@ func foldEngine(t *testing.T, fold bool, opts Options) *Engine {
 
 // TestFoldedEngineByteIdentical: a training engine on a symmetry-folded
 // fat-tree must produce bitwise-identical per-iteration statistics to the
-// eager build on every backend, including the sharded packet pool.
+// eager build on every backend, including the sharded packet backend.
 func TestFoldedEngineByteIdentical(t *testing.T) {
 	configs := []netsim.Config{
 		{Backend: "fluid"},
 		{Backend: "analytic"},
 		{Backend: "analytic-ecmp"},
-		{Backend: "packet", Workers: 8},
+		{Backend: "packet"},
 	}
 	for _, cfg := range configs {
 		if testing.Short() && cfg.Backend == "packet" {

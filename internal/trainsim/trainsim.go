@@ -61,8 +61,8 @@ type Options struct {
 	FirstA2A FirstA2AMode
 	// Config selects the netsim substrate every collective is simulated on
 	// ("fluid" by default; packet fidelity suits small configurations,
-	// analytic suits huge sweeps), the packet backend's congestion
-	// controller and its event-loop pool size.
+	// analytic suits huge sweeps) and the packet backend's congestion
+	// controller.
 	netsim.Config
 	// Device models OCS reconfiguration latency; nil means no runtime
 	// reconfiguration: the engine builds no OCS controller, so a MixNet
@@ -542,9 +542,10 @@ func (e *Engine) predictedDemand(l int, prevLoads []float64) *metrics.Matrix {
 //     region's circuits layer by layer) and compiles each all-to-all into a
 //     communication-plan step while its circuits are installed, recording
 //     reconfiguration barriers and penalties;
-//  2. execute — the plan simulates on the netsim backend, whole ready
-//     frontiers per Backend.BatchMakespan call, so independent layers'
-//     A2As and the DP all-reduce share the worker pool;
+//  2. execute — the plan simulates on the netsim backend, one ready
+//     frontier per round, each simulated step priced by one
+//     Backend.Makespan call, so independent layers' A2As and the DP
+//     all-reduce share a round;
 //  3. account — per-layer stage times combine the simulated makespans with
 //     the compute model exactly as the historical inline loop did; under an
 //     overlap discipline (Options.Overlap) each pipeline slot is instead

@@ -54,11 +54,8 @@ type IterationStats = trainsim.IterStats
 // "analytic"/"analytic-ecmp" for the iteration-free alpha-beta bounds (huge
 // sweeps; see SimBackends). CC is the packet backend's congestion
 // controller — "fixed" (default), "dcqcn" or "swift"; adaptive controllers
-// require the packet backend (see SimCongestionControls). Workers bounds
-// the packet backend's pool of event loops, across which link-disjoint flow
-// shards of every ready communication step simulate with byte-identical
-// results: 0 or 1 runs one loop, < 0 selects GOMAXPROCS; the other
-// backends ignore it.
+// require the packet backend (see SimCongestionControls). Every backend
+// simulates on the calling goroutine.
 type Exec = netsim.Config
 
 // SimConfig configures one training simulation.
