@@ -22,17 +22,15 @@ import (
 // fidelity (fluid, packet, analytic) without recompilation.
 type Phases = netsim.Phases
 
-// Ctx carries routing and simulation state shared by collective
-// compilations. The router's route cache and the attached netsim backend
-// persist across compilations, so steady-state recompilation of the same
-// collectives reuses routes and simulation buffers instead of reallocating
-// them per phase.
+// Ctx carries the routing state shared by collective compilations. The
+// router's route cache persists across compilations, so steady-state
+// recompilation of the same collectives reuses routes instead of
+// re-deriving them per phase.
 type Ctx struct {
 	Cluster *topo.Cluster
 	Router  *topo.BFSRouter
 	nextID  int
 	pairSeq map[pairKey]uint8 // per-(src,dst) rotating ECMP salt
-	backend netsim.Backend
 }
 
 // pairKey identifies an ordered endpoint pair for ECMP salt rotation.
@@ -44,27 +42,10 @@ type pairKey struct{ src, dst topo.NodeID }
 // router's route cache hits instead of re-deriving paths every phase.
 const ecmpSpread = 16
 
-// NewCtx creates a compilation context for a cluster simulating on the
-// default fluid backend.
+// NewCtx creates a compilation context for a cluster.
 func NewCtx(c *topo.Cluster) *Ctx {
-	return NewCtxWithBackend(c, netsim.NewFluid())
+	return &Ctx{Cluster: c, Router: topo.NewBFSRouter(c.G), pairSeq: make(map[pairKey]uint8)}
 }
-
-// NewCtxWithBackend creates a compilation context that simulates compiled
-// phases on the given netsim backend. The backend becomes owned by the
-// context (backends are not safe for concurrent use).
-func NewCtxWithBackend(c *topo.Cluster, b netsim.Backend) *Ctx {
-	if b == nil {
-		b = netsim.NewFluid()
-	}
-	return &Ctx{
-		Cluster: c, Router: topo.NewBFSRouter(c.G),
-		pairSeq: make(map[pairKey]uint8), backend: b,
-	}
-}
-
-// Backend returns the netsim backend the context simulates on.
-func (ctx *Ctx) Backend() netsim.Backend { return ctx.backend }
 
 // ResetRunState rewinds the context's per-run compilation state — flow ID
 // counter and per-pair ECMP salt rotation — to the freshly built position,
@@ -433,12 +414,4 @@ func addSplitFlows(ctx *Ctx, dst *[]*netsim.Flow, gpus []topo.NodeID, serverOf [
 		}
 	}
 	return nil
-}
-
-// Makespan simulates the phases sequentially on the context's backend and
-// returns the summed completion time in seconds. The backend's buffers are
-// reused, so on the fluid and analytic backends repeated calls perform no
-// steady-state simulation allocations.
-func Makespan(ctx *Ctx, phases Phases) (float64, error) {
-	return ctx.backend.Makespan(ctx.Cluster.G, phases)
 }

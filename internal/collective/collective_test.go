@@ -69,7 +69,7 @@ func TestHierarchicalAllReducePhases(t *testing.T) {
 	if len(p[2]) != 4*7 {
 		t.Errorf("broadcast flows = %d, want 28", len(p[2]))
 	}
-	if _, err := Makespan(ctx, p); err != nil {
+	if _, err := netsim.NewFluid().Makespan(ctx.Cluster.G, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -244,7 +244,7 @@ func TestTopologyAwareEPSFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Makespan(ctx, p)
+	ms, err := netsim.NewFluid().Makespan(ctx.Cluster.G, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestMixNetBeatsEPSOnSkewedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tMix, err := Makespan(ctx, pMix)
+	tMix, err := netsim.NewFluid().Makespan(c.G, pMix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestMixNetBeatsEPSOnSkewedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tEPS, err := Makespan(ctxEPS, pEPS)
+	tEPS, err := netsim.NewFluid().Makespan(c.G, pEPS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestMixNetBeatsEPSOnSkewedTraffic(t *testing.T) {
 
 func TestMakespanEmptyPhases(t *testing.T) {
 	ctx := fatTreeCtx(t, 2)
-	ms, err := Makespan(ctx, Phases{{}, nil})
+	ms, err := netsim.NewFluid().Makespan(ctx.Cluster.G, Phases{{}, nil})
 	if err != nil || ms != 0 {
 		t.Errorf("empty phases: %v %v", ms, err)
 	}

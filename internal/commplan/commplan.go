@@ -8,25 +8,28 @@
 // compiled against and, for overlap-aware plans, which computation gates
 // which communication; because compilation resolves routing up front (the
 // plan builder runs the controller loop serially), steps of different
-// layers share no simulator state and the steps of one ready frontier form
-// one round of the drain, each priced by its own Backend.Makespan call.
-// Zero-flow steps resolve inside the frontier pass without any backend
-// call, releasing their successors into the same round, so comm steps
-// separated only by compute — including steps of two adjacent iterations in
-// a rolling window — still share one round.
+// layers share no simulator state.
+//
+// The drain groups simulated steps into rounds. A step's round is the
+// number of simulated steps on the longest dependency chain before it, so
+// comm steps separated only by zero-flow work — including steps of two
+// adjacent iterations in a rolling window — share a round. AddDep accepts
+// only earlier steps, so ID order is topological and one forward pass
+// labels every step; zero-flow steps resolve to their Delay without any
+// backend call, and each simulated step is priced by its own
+// Backend.Makespan call, round by round.
 //
 // One drain loop serves every caller: Plan.Execute is the one-plan case of
-// MergedExec, which merges several co-scheduled jobs' frontiers
-// (internal/tenancy) into each round.
+// MergedExec, which merges several co-scheduled jobs' rounds
+// (internal/tenancy). Within a round a plan's steps are visited in ID
+// order; only contended pricing reads that order (see MergedExec).
 //
 // Results are deterministic and byte-identical to pricing every step alone:
 // a step's makespan and per-flow finish times never depend on which other
-// steps shared its round, and the drain visits steps in a deterministic
-// topological-ready order (the initial frontier in ID order, then steps in
-// the order their last dependency resolved). A Plan is reusable — Reset
-// keeps all step, dependency and scheduling arenas, so steady-state plan
-// building performs no heap allocations beyond the flows the collective
-// compiler itself emits.
+// steps shared its round. A Plan is reusable — Reset keeps all step,
+// dependency and scheduling arenas, so steady-state plan building performs
+// no heap allocations beyond the flows the collective compiler itself
+// emits.
 package commplan
 
 import (
@@ -99,14 +102,13 @@ type Plan struct {
 	steps []Step
 	deps  []int32 // flat dependency arena: steps[i].deps = deps[depOff:depOff+depLen]
 
-	// drain scratch, reused across iterations.
-	indeg    []int32
-	succOff  []int32 // per-step successor offsets into succ (CSR)
-	succ     []int32
-	frontier []int32
-	widths   []int      // this plan's width in each round of the last drain
-	fronts   widthStats // cumulative over every drain
-	exec     MergedExec // Execute's one-plan drain
+	// drain scratch, reused across iterations: every step's round, and the
+	// simulated steps listed by round, in ID order within a round.
+	round  []int32
+	order  []int32
+	widths []int      // this plan's width in each round of the last drain
+	fronts widthStats // cumulative over every drain
+	exec   MergedExec // Execute's one-plan drain
 
 	// MakespanWindow scratch: per-step finish times within the window.
 	finish []float64
@@ -201,9 +203,9 @@ func (p *Plan) Add(kind Kind, layer int, phases netsim.Phases, delay float64) in
 
 // AddDep records that step waits on dep. Dependencies of a step must be
 // added before the next step is added (the arena is append-only), and dep
-// must be an already-added step — together these make a Plan acyclic by
-// construction (edges always point backward); the drain's cycle check is
-// defence in depth only.
+// must be a step added before step — together these make a Plan acyclic by
+// construction (edges always point backward), which the drain's one
+// forward pass relies on.
 //
 //mixnet:noalloc
 func (p *Plan) AddDep(step, dep int) {
@@ -211,8 +213,8 @@ func (p *Plan) AddDep(step, dep int) {
 	if int(s.depOff)+int(s.depLen) != len(p.deps) {
 		panic("commplan: AddDep after another step was added")
 	}
-	if dep < 0 || dep >= len(p.steps) {
-		panic("commplan: AddDep on unknown step")
+	if dep < 0 || dep >= step {
+		panic("commplan: AddDep on a step not added before it")
 	}
 	p.deps = append(p.deps, int32(dep))
 	s.depLen++
@@ -291,91 +293,69 @@ func (p *Plan) MakespanWindow(lo, hi int) float64 {
 // CriticalPath is MakespanWindow over the whole plan.
 func (p *Plan) CriticalPath() float64 { return p.MakespanWindow(0, len(p.steps)) }
 
-// grow ensures the scheduling arenas cover n steps and the dependency count.
+// label is the drain's scheduling pass. It gives every step its round —
+// the maximum over its dependencies of the dependency's round, plus one
+// when that dependency is simulated — and prices every zero-flow step at
+// its Delay. It then lists the simulated steps by round in p.order, in ID
+// order within a round, and records each round's count in p.widths.
 //
 //mixnet:noalloc
-func (p *Plan) grow(n int) {
-	if cap(p.indeg) < n {
-		p.indeg = make([]int32, n)
-		p.succOff = make([]int32, n+1)
-		p.frontier = make([]int32, 0, n)
+func (p *Plan) label() {
+	n := len(p.steps)
+	if cap(p.round) < n {
+		p.round = make([]int32, n)
+		p.order = make([]int32, n)
 	}
-	if cap(p.succ) < len(p.deps) {
-		p.succ = make([]int32, len(p.deps))
-	}
-	if cap(p.succOff) < n+1 {
-		p.succOff = make([]int32, n+1)
-	}
-}
-
-// prepExec builds the successor CSR for the plan's current steps and
-// returns the working indegree slice, ready for a drain.
-//
-//mixnet:noalloc
-func (p *Plan) prepExec(n int) []int32 {
-	p.grow(n)
-	indeg := p.indeg[:n]
-	succOff := p.succOff[:n+1]
-	succ := p.succ[:len(p.deps)]
-	// Build the successor CSR from the dependency arena: succ lists, per
-	// step, the steps that wait on it.
-	for i := range succOff {
-		succOff[i] = 0
-	}
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	for i := 0; i < n; i++ {
+	round := p.round[:n]
+	p.widths = p.widths[:0]
+	for i := range p.steps {
+		s := &p.steps[i]
+		var r int32
 		for _, d := range p.Deps(i) {
-			succOff[d]++
-			indeg[i]++
+			rd := round[d]
+			if p.steps[d].Phases != nil {
+				rd++
+			}
+			r = max(r, rd)
+		}
+		round[i] = r
+		if s.Phases == nil {
+			s.Makespan = s.Delay
+			continue
+		}
+		// Every earlier simulated step's round is below len(widths), so r
+		// is at most len(widths): rounds are never skipped.
+		if int(r) == len(p.widths) {
+			p.widths = append(p.widths, 0)
+		}
+		p.widths[r]++
+	}
+	// Counting sort by round: widths turns into each round's start offset,
+	// advances to the round's end while filling, and turns back into counts.
+	off := 0
+	for r, w := range p.widths {
+		p.widths[r] = off
+		off += w
+	}
+	for i := range p.steps {
+		if p.steps[i].Phases != nil {
+			r := round[i]
+			p.order[p.widths[r]] = int32(i)
+			p.widths[r]++
 		}
 	}
-	var sum int32
-	for i := 0; i < n; i++ {
-		c := succOff[i]
-		succOff[i] = sum
-		sum += c
+	for r := len(p.widths) - 1; r > 0; r-- {
+		p.widths[r] -= p.widths[r-1]
 	}
-	succOff[n] = sum
-	// Fill cursors advance succOff; succOff[i] ends up holding the end of
-	// i's successor range (start = previous end), which is the layout the
-	// drain reads.
-	for i := 0; i < n; i++ {
-		for _, d := range p.Deps(i) {
-			succ[succOff[d]] = int32(i)
-			succOff[d]++
-		}
-	}
-	return indeg
-}
-
-// releaseInto decrements id's successors' indegrees, appending newly ready
-// steps to queue (returned reallocated-or-not, append semantics). Callers
-// iterate the queue by index, so appends made mid-iteration are visited.
-//
-//mixnet:noalloc
-func (p *Plan) releaseInto(id int32, indeg []int32, queue []int32) []int32 {
-	start := int32(0)
-	if id > 0 {
-		start = p.succOff[id-1]
-	}
-	for _, s := range p.succ[start:p.succOff[id]] {
-		indeg[s]--
-		if indeg[s] == 0 {
-			queue = append(queue, s)
-		}
-	}
-	return queue
 }
 
 // Execute simulates the plan on b over g: the one-plan case of
-// MergedExec.Execute. Every frontier of ready simulated steps is one round,
-// each step priced by one Makespan call (zero-flow steps resolve for free
-// and immediately release their successors into the same frontier).
-// Per-step makespans and per-flow finish times are byte-identical to
-// pricing each step alone with Makespan in ID order: steps are independent
-// simulations, so the drain order cannot influence results.
+// MergedExec.Execute. The simulated steps of each round are priced by one
+// Makespan call each, round by round; zero-flow steps resolve to their
+// Delay without a backend call. Per-step makespans and per-flow finish
+// times are byte-identical to pricing each step alone with Makespan in ID
+// order: steps are independent simulations, so the drain order cannot
+// influence results.
 func (p *Plan) Execute(g *topo.Graph, b netsim.Backend) error {
 	return p.exec.Execute(g, b, []*Plan{p})
 }

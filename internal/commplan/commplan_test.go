@@ -94,8 +94,8 @@ func TestExecuteBatchedMatchesSerial(t *testing.T) {
 				t.Errorf("%s: barrier %d makespan %v, want 1e-3", backend, i, pb.Step(i).Makespan)
 			}
 		}
-		// Execute must have submitted one frontier holding every simulated
-		// step (barriers resolve for free first).
+		// Every simulated step waits only on a barrier, so all of them
+		// share round 0.
 		widths := pb.BatchWidths()
 		if len(widths) != 1 || widths[0] != 5 {
 			t.Errorf("%s: batch widths %v, want [5]", backend, widths)
@@ -128,17 +128,25 @@ func TestExecuteRespectsDependencyChain(t *testing.T) {
 	}
 }
 
-// TestAddDepValidation: deps must reference existing steps — together with
-// the arena-tail rule this makes plans acyclic by construction.
+// TestAddDepValidation: a step may only wait on a step added before it —
+// together with the arena-tail rule this makes plans acyclic by
+// construction. A self-dependency would be the one cycle otherwise.
 func TestAddDepValidation(t *testing.T) {
 	p := New()
 	s0 := p.Add(KindA2A1, 0, nil, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("forward dependency on an unknown step not rejected")
-		}
-	}()
-	p.AddDep(s0, s0+1)
+	for name, dep := range map[string]int{"unknown step": s0 + 1, "self": s0, "negative": -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s dependency not rejected", name)
+				}
+			}()
+			p.AddDep(s0, dep)
+		}()
+	}
+	if len(p.Deps(s0)) != 0 {
+		t.Errorf("rejected dependencies recorded: %v", p.Deps(s0))
+	}
 }
 
 func TestDepsArenaDiscipline(t *testing.T) {

@@ -7,33 +7,33 @@ import (
 	"mixnet/internal/topo"
 )
 
-// MergedExec is the package's one frontier drain. It drains several
+// MergedExec is the package's one drain loop. It drains several
 // independent plans — one per co-scheduled training job (internal/tenancy),
-// or the single plan of Plan.Execute — on ONE shared backend, collecting
-// every round's ready frontiers across all plans and pricing each collected
-// step with one Makespan call, in collection order. The rounds define each
-// plan's Plan.BatchWidths and Plan.Stats and, under Contend, which steps of
-// different plans run concurrently. Plans must not share Flow pointers
-// (each engine compiles its own), and the executor visits plans in slice
-// order and each plan's steps in its own deterministic topological-ready
-// order, so results are deterministic and — with a canonically sorted plan
-// slice — independent of job submission order.
+// or the single plan of Plan.Execute — on ONE shared backend: round r
+// collects every plan's round-r simulated steps, plan-major and in ID order
+// within a plan, and prices each collected step with one Makespan call, in
+// collection order. The rounds define each plan's Plan.BatchWidths and
+// Plan.Stats and, under Contend, which steps of different plans run
+// concurrently. Plans must not share Flow pointers (each engine compiles
+// its own). The drain visits plans in slice order, so results are
+// deterministic and — with a canonically sorted plan slice — independent
+// of job submission order.
 //
 // With Contend unset (the default), per-step results are byte-identical to
 // pricing each step alone: steps are independent simulations, so what
 // shares a round cannot influence them.
-// With Contend set, steps of *different* plans that become ready in the
-// same round and at the same frontier position, and whose flows share a
-// link in some phase, are fused into one co-simulated workload (phase k of
-// each aligned with phase k of the others), so flows crossing shared links
-// are priced under max-min contention with the neighbour tenant's flows
-// instead of in isolation. Link-disjoint steps are priced alone, bitwise as
-// without Contend. Steps of the same plan are never fused — within one
-// job, a round groups steps that are serialized in real time, whereas
-// distinct jobs genuinely run concurrently. Each member's time is read
-// back from its own flows' Finish fields, so Contend needs a backend that
-// reports per-flow completion times (netsim.FlowTimes); Execute rejects
-// the analytic backends.
+// With Contend set, the k-th simulated step in ID order of each plan's
+// round r forms one cross-plan group, and a group whose members' flows
+// share a link in some phase is fused into one co-simulated workload (phase
+// p of each aligned with phase p of the others), so flows crossing shared
+// links are priced under max-min contention with the neighbour tenant's
+// flows instead of in isolation. Link-disjoint groups are priced alone,
+// bitwise as without Contend. Steps of the same plan are never fused —
+// within one job, a round groups steps that are serialized in real time,
+// whereas distinct jobs genuinely run concurrently. Each member's time is
+// read back from its own flows' Finish fields, so Contend needs a backend
+// that reports per-flow completion times (netsim.FlowTimes); Execute
+// rejects the analytic backends.
 type MergedExec struct {
 	// Contend enables cross-plan contention pricing (see type comment).
 	Contend bool
@@ -66,9 +66,8 @@ type MergedExec struct {
 
 // mergedState is one plan's drain progress inside a merged execution.
 type mergedState struct {
-	p     *Plan
-	indeg []int32
-	queue []int32
+	p    *Plan
+	next int32 // offset of the plan's current round in p.order
 	// roundOff/roundN locate the plan's simulated steps of the current
 	// round inside the merged round (contended-mode grouping, and the
 	// plan's own width of the round).
@@ -95,123 +94,64 @@ func (m *MergedExec) Stats() MergedStats {
 		WidthMean: m.fronts.mean(), FusedSteps: m.fusedSteps}
 }
 
-// grow sizes the merged scratch for the given plans.
-func (m *MergedExec) grow(plans []*Plan) {
-	if cap(m.states) < len(plans) {
-		m.states = make([]mergedState, len(plans))
-	}
-	m.states = m.states[:len(plans)]
-	total := 0
-	for _, p := range plans {
-		total += len(p.steps)
-	}
-	if cap(m.batch) < total {
-		m.batch = make([]netsim.Phases, 0, total)
-		m.owners = make([]int32, 0, total)
-		m.ids = make([]int32, 0, total)
-	}
-}
-
-// collectReady drains every plan's ready queue for one round: zero-flow
-// steps (barriers, compute) resolve immediately — releasing successors into
-// the same indexed pass — and simulated steps accumulate into the merged
-// batch, plan-major. Returns the number of zero-flow steps resolved. This
-// is the merged-frontier hot path: all appends land in preallocated arenas
-// (grow sized them to the plans' total step count).
-//
-//mixnet:noalloc
-func (m *MergedExec) collectReady() int {
-	resolved := 0
-	m.batch = m.batch[:0]
-	m.owners = m.owners[:0]
-	m.ids = m.ids[:0]
-	for pi := range m.states {
-		st := &m.states[pi]
-		st.roundOff = int32(len(m.ids))
-		for qi := 0; qi < len(st.queue); qi++ {
-			id := st.queue[qi]
-			s := &st.p.steps[id]
-			if s.Phases == nil {
-				s.Makespan = s.Delay
-				resolved++
-				st.queue = st.p.releaseInto(id, st.indeg, st.queue)
-			} else {
-				m.batch = append(m.batch, s.Phases)
-				m.owners = append(m.owners, int32(pi))
-				m.ids = append(m.ids, id)
-			}
-		}
-		st.queue = st.queue[:0]
-		st.roundN = int32(len(m.ids)) - st.roundOff
-	}
-	return resolved
-}
-
-// Execute drains all plans to completion on b over g, one merged round of
-// ready simulated steps at a time. Empty plans are permitted. See the type
-// comment for the determinism and contention contracts.
+// Execute drains all plans on b over g, one merged round of simulated
+// steps at a time. Empty plans are permitted. See the type comment for the
+// determinism and contention contracts.
 func (m *MergedExec) Execute(g *topo.Graph, b netsim.Backend, plans []*Plan) error {
 	if m.Contend && !netsim.FlowTimes(b.Name()) {
 		return fmt.Errorf("commplan: contended pricing needs per-flow completion times; the %s backend reports only serialization bounds", b.Name())
 	}
-	m.grow(plans)
-	total := 0
-	for pi, p := range plans {
-		n := len(p.steps)
-		total += n
-		st := &m.states[pi]
-		st.p = p
-		p.widths = p.widths[:0]
-		if n == 0 {
-			st.indeg, st.queue = nil, nil
-			continue
-		}
-		st.indeg = p.prepExec(n)
-		st.queue = p.frontier[:0]
-		for i := 0; i < n; i++ {
-			if st.indeg[i] == 0 {
-				st.queue = append(st.queue, int32(i))
-			}
-		}
+	if cap(m.states) < len(plans) {
+		m.states = make([]mergedState, len(plans))
 	}
-	done := 0
-	for done < total {
-		done += m.collectReady()
-		if len(m.ids) == 0 {
-			if done < total {
-				return fmt.Errorf("commplan: dependency cycle (%d of %d steps scheduled)", done, total)
-			}
-			break
-		}
+	m.states = m.states[:len(plans)]
+	rounds := 0
+	for pi, p := range plans {
+		p.label()
+		m.states[pi] = mergedState{p: p}
+		rounds = max(rounds, len(p.widths))
+	}
+	for r := 0; r < rounds; r++ {
+		m.collect(r)
 		if err := m.simulateRound(g, b); err != nil {
 			return err
 		}
 		m.fronts.record(len(m.ids))
 		for pi := range m.states {
 			if st := &m.states[pi]; st.roundN > 0 {
-				st.p.widths = append(st.p.widths, int(st.roundN))
 				st.p.fronts.record(int(st.roundN))
 			}
 		}
-		done += len(m.ids)
-		for k, id := range m.ids {
-			st := &m.states[m.owners[k]]
-			st.queue = st.p.releaseInto(id, st.indeg, st.queue)
-		}
 	}
+	clear(m.states)
+	return nil
+}
+
+// collect gathers every plan's round-r simulated steps into the merged
+// batch, plan-major.
+//
+//mixnet:noalloc
+func (m *MergedExec) collect(r int) {
+	m.batch, m.owners, m.ids = m.batch[:0], m.owners[:0], m.ids[:0]
 	for pi := range m.states {
 		st := &m.states[pi]
-		if st.p != nil && st.queue != nil {
-			st.p.frontier = st.queue[:0]
+		st.roundOff, st.roundN = int32(len(m.ids)), 0
+		if r >= len(st.p.widths) {
+			continue
 		}
-		st.p, st.indeg, st.queue = nil, nil, nil
+		st.roundN = int32(st.p.widths[r])
+		for _, id := range st.p.order[st.next : st.next+st.roundN] {
+			m.batch = append(m.batch, st.p.steps[id].Phases)
+			m.owners = append(m.owners, int32(pi))
+			m.ids = append(m.ids, id)
+		}
+		st.next += st.roundN
 	}
-	return nil
 }
 
 // simulateRound prices every step the current round collected, writing each
 // step's Makespan. Non-contended, each step is priced alone, in collection
-// order. Contended, steps of different plans at the same frontier position
+// order. Contended, steps of different plans at the same round position
 // fuse into one co-simulated workload when their flows share a link in some
 // phase; steps with no cross-plan partner, or none they share a link with,
 // still run solo.
@@ -224,8 +164,8 @@ func (m *MergedExec) simulateRound(g *topo.Graph, b netsim.Backend) error {
 		}
 		return nil
 	}
-	// Contended: group by frontier position. Position k of the round holds
-	// the k-th ready simulated step of every plan that has one.
+	// Contended: group by round position. Position k of the round holds
+	// the k-th simulated step, in ID order, of every plan that has one.
 	maxN := int32(0)
 	for pi := range m.states {
 		if n := m.states[pi].roundN; n > maxN {
@@ -266,7 +206,7 @@ func (m *MergedExec) simulateSolo(g *topo.Graph, b netsim.Backend, bi int32) err
 }
 
 // sharesLinks reports whether, in some phase, flows of two different
-// members of the cross-plan group at frontier position k cross the same
+// members of the cross-plan group at round position k cross the same
 // link — the only case in which fusing them changes anyone's time.
 func (m *MergedExec) sharesLinks(g *topo.Graph, k int32) bool {
 	if len(m.linkStamp) < len(g.Links) {
@@ -307,7 +247,7 @@ func (m *MergedExec) sharesLinks(g *topo.Graph, k int32) bool {
 	}
 }
 
-// simulateFused co-simulates the cross-plan group at frontier position k of
+// simulateFused co-simulates the cross-plan group at round position k of
 // the current round: phase p of every member concatenates into phase p of
 // one fused workload (flows copied with remapped unique IDs so the solo
 // plans stay untouched), one Makespan call prices it, and each member's

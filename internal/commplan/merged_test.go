@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mixnet/internal/netsim"
+	"mixnet/internal/topo"
 )
 
 func TestMergedMatchesSoloExecute(t *testing.T) {
@@ -190,6 +191,54 @@ func TestMergedRecordsPerPlanWidths(t *testing.T) {
 		}
 		if !slices.Equal(p.BatchWidths(), merged) {
 			t.Errorf("solo widths %v != merged widths %v", p.BatchWidths(), merged)
+		}
+	}
+}
+
+// TestContendedFusesInIDOrder pins which steps of a round fuse under
+// Contend: the k-th simulated step in ID order of one plan with the k-th in
+// ID order of the other. Plan A readies a3 before a2 (a2 waits on a chain of
+// zero-flow steps, a3 on nothing); a2 shares server 0's links with b0 and a3
+// server 1's with b1, while the ready-order pairs (a3, b0) and (a2, b1) share
+// none and would run solo.
+func TestContendedFusesInIDOrder(t *testing.T) {
+	c := topo.BuildFatTree(topo.DefaultSpec(4, 100*topo.Gbps))
+	r := topo.NewBFSRouter(c.G)
+	intra := func(server int) netsim.Phases {
+		rt, err := r.Route(c.GPU(server, 0), c.GPU(server, 1), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return netsim.Phases{{{ID: server, Path: rt, Bytes: 1e9}}}
+	}
+	pa, pb := New(), New()
+	z0 := pa.Add(KindCompute, 0, nil, 1e-3)
+	z1 := pa.Add(KindCompute, 0, nil, 1e-3)
+	pa.AddDep(z1, z0)
+	a2 := pa.Add(KindA2A1, 0, intra(0), 0)
+	pa.AddDep(a2, z1)
+	a3 := pa.Add(KindA2A1, 0, intra(1), 0)
+	b0 := pb.Add(KindA2A1, 0, intra(0), 0)
+	b1 := pb.Add(KindA2A1, 0, intra(1), 0)
+
+	solo, err := netsim.NewFluid().Makespan(c.G, intra(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMergedExec()
+	m.Contend = true
+	if err := m.Execute(c.G, netsim.NewFluid(), []*Plan{pa, pb}); err != nil {
+		t.Fatal(err)
+	}
+	if w := pa.BatchWidths(); !slices.Equal(w, []int{2}) {
+		t.Fatalf("plan A widths %v, want one round of 2", w)
+	}
+	if s := m.Stats(); s.FusedSteps != 4 {
+		t.Errorf("fused %d steps, want all 4 (a2 with b0, a3 with b1)", s.FusedSteps)
+	}
+	for _, s := range []*Step{pa.Step(a2), pa.Step(a3), pb.Step(b0), pb.Step(b1)} {
+		if s.Makespan <= solo {
+			t.Errorf("step %d: contended makespan %v not above its solo %v", s.ID, s.Makespan, solo)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func (c *countingBackend) Makespan(g *topo.Graph, p netsim.Phases) (float64, err
 // expert compute, then a backward chain of zero-flow echoes and a
 // dependency-free cross-iteration prefix (compute + barrier + a2a). Layer
 // li uses steps[2li] and steps[2li+1], the prefix the step after them (it
-// shares a frontier with layer 0's dispatch, and steps of one batch must
+// shares a round with layer 0's dispatch, and steps of one round must
 // not share Flow pointers); it returns the forward boundary and the
 // echo/prefix IDs for patching.
 func buildOverlapPlan(p *Plan, steps []netsim.Phases, echoBuf []int) (bwdLo int, echoes []int, prefixA int) {
@@ -83,9 +83,9 @@ func buildOverlapPlan(p *Plan, steps []netsim.Phases, echoBuf []int) (bwdLo int,
 }
 
 // TestComputeStepsPricedWithoutBackendCalls: zero-flow compute steps must
-// resolve to their Delay inside the frontier pass — never submitted to the
-// backend — while comm steps separated only by zero-flow work still fuse,
-// including the cross-iteration prefix A2A in the first drain.
+// resolve to their Delay without reaching the backend, while comm steps
+// separated only by zero-flow work still share a round, including the
+// cross-iteration prefix A2A in the first round.
 func TestComputeStepsPricedWithoutBackendCalls(t *testing.T) {
 	c, steps := testWorkload(t, 7)
 	inner, err := netsim.New(netsim.Config{Backend: "analytic"})
@@ -116,8 +116,8 @@ func TestComputeStepsPricedWithoutBackendCalls(t *testing.T) {
 	if b.steps != comm {
 		t.Errorf("backend saw %d steps, want exactly the %d comm steps", b.steps, comm)
 	}
-	// First drain: layer 0's dispatch fuses with the cross-iteration prefix
-	// A2A (both released by zero-flow steps in the same pass).
+	// First round: layer 0's dispatch shares it with the cross-iteration
+	// prefix A2A (both wait only on zero-flow steps).
 	widths := p.BatchWidths()
 	if len(widths) == 0 || widths[0] != 2 {
 		t.Errorf("batch widths %v, want the first drain to fuse 2 steps from adjacent iterations", widths)

@@ -32,7 +32,7 @@ func reexecute(t *testing.T, p *Plan, g *topo.Graph, b netsim.Backend) []int {
 
 // TestReexecuteAcrossIterations: a reused plan rebuilt with the same DAG
 // every iteration (the training steady state) must price every step as the
-// serial reference does and submit the same frontiers each time.
+// serial reference does and drain the same rounds each time.
 func TestReexecuteAcrossIterations(t *testing.T) {
 	c, steps := testWorkload(t, 4)
 	b, err := netsim.New(netsim.Config{Backend: "analytic"})
@@ -66,7 +66,7 @@ func TestReexecuteOnShapeChange(t *testing.T) {
 		t.Fatalf("first plan: batch widths %v, want [4]", w)
 	}
 	// Same step count, one extra edge: the dependency-free tail now waits
-	// on the first simulated step, so it drains in a second frontier.
+	// on the first simulated step, so it drains in a second round.
 	buildPlan(p, steps, 1e-3)
 	p.AddDep(p.Len()-1, 1)
 	if w := reexecute(t, p, c.G, b); !slices.Equal(w, []int{3, 1}) {

@@ -13,18 +13,13 @@ import (
 )
 
 // TenancyTenant describes one co-scheduled job in the BENCH_tenancy.json
-// report, with its packet-event footprint from the plan replay.
+// report.
 type TenancyTenant struct {
 	Name       string `json:"name"`
 	Model      string `json:"model"`
 	DP         int    `json:"dp"`
 	Servers    int    `json:"servers"`
 	BaseServer int    `json:"base_server"`
-	// Events is the tenant's total packet-event count across its last
-	// iteration's communication plan; MaxShardEvents the largest single
-	// shard job — the tenant's own drain cannot finish faster than it.
-	Events         uint64 `json:"packet_events"`
-	MaxShardEvents uint64 `json:"max_shard_events"`
 }
 
 // TenancyInterference is one tenant's iteration-time inflation under
@@ -64,15 +59,6 @@ type TenancyReport struct {
 	// Identical records the determinism contract: per-tenant per-iteration
 	// stats of the co-sim are bitwise equal to the serial-sum runs.
 	Identical bool `json:"cosim_identical_to_serial"`
-	// StructuralSpeedup is the event-level critical-path ratio: a serial-sum
-	// drain pays each tenant's largest packet-event shard in sequence
-	// (Σ max_shard_j) while a drain of every tenant's shards on parallel
-	// event loops would wait only for the single largest shard overall
-	// (max_j max_shard_j). It is a bound, not a measured speedup.
-	StructuralSpeedup float64 `json:"structural_speedup"`
-	// PooledEventBound is total packet events over the largest single shard
-	// — the concurrency a parallel drain of all tenants' shards could use.
-	PooledEventBound float64 `json:"pooled_event_concurrency_bound"`
 	// Merged frontier statistics of the co-sim drain.
 	MergedBatches    uint64  `json:"merged_batches"`
 	MergedWidthMax   int     `json:"merged_width_max"`
@@ -146,11 +132,10 @@ func contendedMeans(jobs []tenancy.Job, iters, slots int, policy string) (map[st
 }
 
 // TenancyBench measures multi-tenant co-scheduling: the pooling cohort (N
-// identical quick-Mixtral jobs) compares the merged-frontier co-sim drain
-// against the serial-sum baseline — wall clock, bitwise identity, and the
-// event-level structural speedup — and the interference cohort
-// (quick-Mixtral beside DP-heavy neighbours) prices cross-tenant
-// contention and single-slot reconfiguration arbitration.
+// identical quick-Mixtral jobs) compares the merged co-sim drain against
+// the serial-sum baseline — wall clock and bitwise identity — and the
+// interference cohort (quick-Mixtral beside DP-heavy neighbours) prices
+// cross-tenant contention and single-slot reconfiguration arbitration.
 func TenancyBench(scale Scale, tenants int) (Table, *TenancyReport, error) {
 	t := Table{
 		ID:    "tenancy",
@@ -200,29 +185,11 @@ func TenancyBench(scale Scale, tenants int) (Table, *TenancyReport, error) {
 	rep.MergedBatches, rep.MergedWidthMax = ms.Batches, ms.WidthMax
 	rep.MergedWidthMean, rep.MergedFusedSteps = ms.WidthMean, ms.FusedSteps
 
-	// Event-level critical paths from the packet replay of each tenant's
-	// last plan: serial-sum pays each tenant's largest shard in sequence,
-	// a parallel drain of every shard only the largest shard overall.
-	var sumMax, allMax, totalEvents uint64
 	for _, tr := range cs.Tenants {
-		total, maxShard, err := planEvents(tr.Engine)
-		if err != nil {
-			return t, nil, err
-		}
 		rep.Tenants = append(rep.Tenants, TenancyTenant{
 			Name: tr.Job.Name, Model: moe.Mixtral8x7B.Name, DP: tr.Engine.Plan.DP,
 			Servers: tr.Servers, BaseServer: tr.BaseServer,
-			Events: total, MaxShardEvents: maxShard,
 		})
-		totalEvents += total
-		sumMax += maxShard
-		if maxShard > allMax {
-			allMax = maxShard
-		}
-	}
-	if allMax > 0 {
-		rep.StructuralSpeedup = float64(sumMax) / float64(allMax)
-		rep.PooledEventBound = float64(totalEvents) / float64(allMax)
 	}
 
 	// Interference tables on the mixed cohort — quick-Mixtral beside
@@ -263,10 +230,8 @@ func TenancyBench(scale Scale, tenants int) (Table, *TenancyReport, error) {
 			fmt.Sprintf("%+.1f%%", row.PriorityPct),
 		})
 	}
-	t.Notes = fmt.Sprintf(
-		"co-sim %.2fs vs serial-sum %.2fs (%.2fx wall clock, %.2fx structural, pooled event bound %.1f, identical=%v)",
-		rep.CoSimSec, rep.SerialSec, rep.WallClockSpeedup, rep.StructuralSpeedup,
-		rep.PooledEventBound, rep.Identical)
+	t.Notes = fmt.Sprintf("co-sim %.2fs vs serial-sum %.2fs (%.2fx wall clock, identical=%v)",
+		rep.CoSimSec, rep.SerialSec, rep.WallClockSpeedup, rep.Identical)
 	return t, rep, nil
 }
 

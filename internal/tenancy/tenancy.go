@@ -3,7 +3,7 @@
 // its own model, parallelisation, gate seed and first-A2A policy — placed
 // on a server slice of one cluster, with regional OCS domains isolated per
 // tenant (topo.Cluster.IsolateTenants) and every iteration's communication
-// plans drained together in merged cross-job frontiers on ONE shared netsim
+// plans drained together in merged cross-job rounds on ONE shared netsim
 // backend (commplan.MergedExec), one Makespan call per simulated step.
 //
 // Determinism: tenants are ordered canonically (by name) regardless of

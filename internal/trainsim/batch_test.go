@@ -6,7 +6,6 @@ import (
 	"mixnet/internal/commplan"
 	"mixnet/internal/netsim"
 	"mixnet/internal/ocs"
-	"mixnet/internal/packetsim"
 	"mixnet/internal/topo"
 )
 
@@ -26,7 +25,7 @@ func serialIteration(e *Engine) (IterStats, error) {
 			s.Makespan = s.Delay
 			continue
 		}
-		ms, err := e.ctx.Backend().Makespan(e.Cluster.G, s.Phases)
+		ms, err := e.backend.Makespan(e.Cluster.G, s.Phases)
 		if err != nil {
 			return IterStats{}, err
 		}
@@ -125,69 +124,5 @@ func TestBatchedFrontierWidth(t *testing.T) {
 	}
 	if a2aSteps < 4 {
 		t.Errorf("only %d A2A steps; the tiny plan should have 2 per layer", a2aSteps)
-	}
-}
-
-// TestBatchedPlanConcurrencyStats measures two structural event-level
-// concurrency bounds of one iteration's plan on the packet backend at tiny
-// scale: per step (each step waits for its slowest shard) versus pooled
-// across steps (every shard of the plan drains together). Both are bounds
-// on what parallel event loops could gain, not measured speedups. The
-// PERF.md quick Mixtral numbers come from the same computation at full
-// engine scale.
-func TestBatchedPlanConcurrencyStats(t *testing.T) {
-	e := newEngine(t, topo.FabricMixNet, Options{
-		GateSeed: 9, FirstA2A: FirstA2ABlock, Device: ocs.NewFixedDevice(25e-3),
-	}) // fluid engine: the plan is what we need
-	if _, err := e.RunIteration(); err != nil {
-		t.Fatal(err)
-	}
-	part := netsim.NewPartitioner()
-	sim := packetsim.NewSim()
-	cfg := packetsim.Config{MTU: netsim.PacketMTU}
-	g := e.Cluster.G
-	var total, globalMax, perCallSum uint64
-	jobs := 0
-	for _, s := range e.CommPlan().Steps() {
-		if s.Phases == nil {
-			continue
-		}
-		var callMax uint64
-		for _, fs := range s.Phases {
-			if len(fs) == 0 {
-				continue
-			}
-			for _, shard := range part.Partition(len(g.Links), fs) {
-				buf := make([]packetsim.Flow, len(shard))
-				pf := make([]*packetsim.Flow, len(shard))
-				for i, f := range shard {
-					buf[i] = netsim.PacketFlow(f)
-					pf[i] = &buf[i]
-				}
-				res, err := sim.Simulate(g, pf, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				jobs++
-				total += res.Events
-				if res.Events > callMax {
-					callMax = res.Events
-				}
-				if res.Events > globalMax {
-					globalMax = res.Events
-				}
-			}
-		}
-		perCallSum += callMax
-	}
-	if total == 0 || globalMax == 0 {
-		t.Fatal("no packet events measured")
-	}
-	perCall := float64(total) / float64(perCallSum)
-	pooled := float64(total) / float64(globalMax)
-	t.Logf("%d jobs, %d events: per-call event bound %.2fx, cross-step pooled bound %.2fx",
-		jobs, total, perCall, pooled)
-	if pooled < perCall {
-		t.Errorf("cross-step pooling bound %.2fx below per-call bound %.2fx", pooled, perCall)
 	}
 }

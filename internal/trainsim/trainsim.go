@@ -168,6 +168,7 @@ type Engine struct {
 	Opts    Options
 
 	ctx        *collective.Ctx
+	backend    netsim.Backend  // the plan drain's simulator, owned by the engine
 	controller *ocs.Controller // region of the representative group; nil if static fabric
 	region     int
 	estimators []*predict.Estimator // per layer boundary, Copilot mode
@@ -348,7 +349,8 @@ func New(m moe.Model, plan moe.TrainPlan, cluster *topo.Cluster, opts Options) (
 	e := &Engine{
 		Model: m, Plan: plan, Cluster: cluster, Place: place,
 		Gate: source, Opts: opts,
-		ctx:     collective.NewCtxWithBackend(cluster, backend),
+		ctx:     collective.NewCtx(cluster),
+		backend: backend,
 		cplan:   commplan.New(),
 		overlap: overlap,
 	}
@@ -542,10 +544,9 @@ func (e *Engine) predictedDemand(l int, prevLoads []float64) *metrics.Matrix {
 //     region's circuits layer by layer) and compiles each all-to-all into a
 //     communication-plan step while its circuits are installed, recording
 //     reconfiguration barriers and penalties;
-//  2. execute — the plan simulates on the netsim backend, one ready
-//     frontier per round, each simulated step priced by one
-//     Backend.Makespan call, so independent layers' A2As and the DP
-//     all-reduce share a round;
+//  2. execute — the plan simulates on the netsim backend round by round,
+//     each simulated step priced by one Backend.Makespan call, so
+//     independent layers' A2As and the DP all-reduce share a round;
 //  3. account — per-layer stage times combine the simulated makespans with
 //     the compute model exactly as the historical inline loop did; under an
 //     overlap discipline (Options.Overlap) each pipeline slot is instead
@@ -564,7 +565,7 @@ func (e *Engine) RunIteration() (IterStats, error) {
 	if err := e.BeginIteration(); err != nil {
 		return e.pend.stats, err
 	}
-	if err := e.cplan.Execute(e.Cluster.G, e.ctx.Backend()); err != nil {
+	if err := e.cplan.Execute(e.Cluster.G, e.backend); err != nil {
 		e.pend.valid = false
 		return e.pend.stats, err
 	}
@@ -614,59 +615,21 @@ func (e *Engine) BeginIteration() error {
 	for li := 0; li < liMax && li < len(stageLayers); li++ {
 		l := stageLayers[li]
 		d := it.Layers[l].RankMatrix
-		// Hottest rank share paces expert computation.
-		cols := d.ColSums()
-		share := metrics.Max(cols) / math.Max(d.Total(), 1)
-		rec := layerRec{pt: dag.ComputeTimes(m, p, e.Opts.Calib, share)}
 		// Overlap "iter": layer 0 was prefetched into the previous window —
 		// replay the measured reconfiguration and dispatch A2A as zero-flow
 		// echoes instead of reapplying/recompiling.
 		carried := li == 0 && e.overlap == overlapIter && e.carry.valid
+		pt, block1, barrier, err := e.firstA2A(it, li, l, servers, carried)
+		if err != nil {
+			return err
+		}
+		rec := layerRec{pt: pt, block1: block1}
 
 		barrier1, barrier2 := -1, -1
-		if e.controller != nil {
-			if carried {
-				rec.block1 = e.carry.block1
-			} else {
-				// First A2A of the forward pass (§5.1).
-				switch e.Opts.FirstA2A {
-				case FirstA2ABlock:
-					delay, err := e.planAndApply(d, servers)
-					if err != nil {
-						return err
-					}
-					rec.block1 = delay
-				case FirstA2AReuse:
-					// Keep whatever circuits are installed (previous layer /
-					// previous iteration); no reconfiguration, no block.
-				case FirstA2ACopilot:
-					var planD *metrics.Matrix
-					if l == 0 {
-						if e.havePrev {
-							planD = e.prevLayer0
-						} else {
-							planD = d // first-ever iteration: oracle warm start
-						}
-					} else {
-						planD = e.predictedDemand(li, it.Layers[l-1].Loads)
-					}
-					delay, err := e.planAndApply(planD, servers)
-					if err != nil {
-						return err
-					}
-					// Proactive: reconfiguration hides under the previous
-					// layer's computation unless it exceeds that window.
-					hideWin := e.Opts.Calib.BackwardFactor * rec.pt.Expert
-					if delay > hideWin {
-						rec.block1 = delay - hideWin
-					}
-				}
-			}
-			if e.Opts.FirstA2A != FirstA2AReuse {
-				barrier1 = e.cplan.Add(commplan.KindBarrier, li, nil, rec.block1)
-				if ov && prevEF >= 0 {
-					e.cplan.AddDep(barrier1, prevEF)
-				}
+		if barrier {
+			barrier1 = e.cplan.Add(commplan.KindBarrier, li, nil, rec.block1)
+			if ov && prevEF >= 0 {
+				e.cplan.AddDep(barrier1, prevEF)
 			}
 		}
 		cf := -1
@@ -811,9 +774,9 @@ func (e *Engine) BeginIteration() error {
 
 	// Overlap "iter": peek the next gate outcome and append its layer-0
 	// prefix (compute, reconfiguration, dispatch A2A) to this window. The
-	// prefix has no dependencies on this iteration's steps, so it fuses
-	// with the DP all-reduce in the first ready frontier — one backend
-	// drain spans two adjacent iterations.
+	// prefix has no dependencies on this iteration's steps, so it shares
+	// the first round with the DP all-reduce — one backend drain spans two
+	// adjacent iterations.
 	e.prefix = prefixSteps{c: -1, b: -1, a: -1}
 	if e.overlap == overlapIter {
 		if err := e.buildPrefix(servers, stageLayers); err != nil {
@@ -923,14 +886,58 @@ func (e *Engine) FinishIteration() (IterStats, error) {
 	return e.pend.stats, nil
 }
 
+// firstA2A prices layer l (slot li of pipeline stage 0) of iteration it up
+// to its dispatch all-to-all, for both the in-iteration path and the
+// rolling window's prefix: the layer's compute times, paced by the hottest
+// rank's share of its demand, and the first-A2A reconfiguration of §5.1.
+// Block applies Algorithm 1 to the layer's own demand and blocks for the
+// full delay; reuse keeps whatever circuits are installed; copilot plans
+// layer 0 from the previous iteration's layer-0 demand and later layers
+// from the predicted demand, hiding the delay under the previous layer's
+// backward expert window. A carried layer replays the block the window
+// measured instead of reapplying. barrier reports whether the plan charges
+// the block as a barrier step (reconfiguring fabrics, except under reuse).
+func (e *Engine) firstA2A(it *moe.Iteration, li, l int, servers []int, carried bool) (pt dag.PhaseTimes, block1 float64, barrier bool, err error) {
+	d := it.Layers[l].RankMatrix
+	cols := d.ColSums()
+	share := metrics.Max(cols) / math.Max(d.Total(), 1)
+	pt = dag.ComputeTimes(e.Model, e.Plan, e.Opts.Calib, share)
+	if e.controller == nil {
+		return pt, 0, false, nil
+	}
+	barrier = e.Opts.FirstA2A != FirstA2AReuse
+	if carried {
+		return pt, e.carry.block1, barrier, nil
+	}
+	switch e.Opts.FirstA2A {
+	case FirstA2ABlock:
+		block1, err = e.planAndApply(d, servers)
+	case FirstA2ACopilot:
+		planD := d // first-ever iteration: oracle warm start
+		if l > 0 {
+			planD = e.predictedDemand(li, it.Layers[l-1].Loads)
+		} else if e.havePrev {
+			planD = e.prevLayer0
+		}
+		var delay float64
+		delay, err = e.planAndApply(planD, servers)
+		// Proactive: reconfiguration hides under the previous layer's
+		// computation unless it exceeds that window.
+		if hideWin := e.Opts.Calib.BackwardFactor * pt.Expert; delay > hideWin {
+			block1 = delay - hideWin
+		}
+	}
+	return pt, block1, barrier, err
+}
+
 // buildPrefix peeks the next gate outcome and appends its layer-0 prefix —
-// attention+gate compute, the first-A2A reconfiguration (charged by the
-// same §5.1 mode semantics as the in-iteration path), and the compiled
-// dispatch all-to-all — to the current plan. Compiling here is sound for
-// the same reason the in-iteration deferral is: the apply sequence is
-// identical to what the serial engine would run at the top of the next
-// iteration (nothing touches the region's circuits in between), and
-// compiled phases freeze their routes.
+// attention+gate compute, the first-A2A reconfiguration (firstA2A, as in
+// the iteration itself), and the compiled dispatch all-to-all — to the
+// current plan. Compiling here is sound for the same reason the
+// in-iteration deferral is: the apply sequence is identical to what the
+// serial engine would run at the top of the next iteration (nothing touches
+// the region's circuits in between), and compiled phases freeze their
+// routes.
 func (e *Engine) buildPrefix(servers []int, stageLayers []int) error {
 	e.peeked = true
 	e.nextIt = e.Gate.Next()
@@ -938,41 +945,17 @@ func (e *Engine) buildPrefix(servers []int, stageLayers []int) error {
 	if next == nil || len(next.Layers) < e.Model.Blocks || len(stageLayers) == 0 {
 		return nil // exhausted source: the next RunIteration reports it
 	}
-	d := next.Layers[stageLayers[0]].RankMatrix
-	cols := d.ColSums()
-	share := metrics.Max(cols) / math.Max(d.Total(), 1)
-	pt := dag.ComputeTimes(e.Model, e.Plan, e.Opts.Calib, share)
-	var block1 float64
-	if e.controller != nil {
-		switch e.Opts.FirstA2A {
-		case FirstA2ABlock:
-			delay, err := e.planAndApply(d, servers)
-			if err != nil {
-				return err
-			}
-			block1 = delay
-		case FirstA2AReuse:
-		case FirstA2ACopilot:
-			planD := d // first-ever iteration oracle warm start (unreachable here)
-			if e.havePrev {
-				planD = e.prevLayer0
-			}
-			delay, err := e.planAndApply(planD, servers)
-			if err != nil {
-				return err
-			}
-			hideWin := e.Opts.Calib.BackwardFactor * pt.Expert
-			if delay > hideWin {
-				block1 = delay - hideWin
-			}
-		}
+	l := stageLayers[0]
+	pt, block1, barrier, err := e.firstA2A(next, 0, l, servers, false)
+	if err != nil {
+		return err
 	}
 	pC := e.cplan.Add(commplan.KindCompute, 0, nil, pt.Attention+pt.Gate)
 	pB := -1
-	if e.controller != nil && e.Opts.FirstA2A != FirstA2AReuse {
+	if barrier {
 		pB = e.cplan.Add(commplan.KindBarrier, 0, nil, block1)
 	}
-	phases, err := e.compileA2A(d)
+	phases, err := e.compileA2A(next.Layers[l].RankMatrix)
 	if err != nil {
 		return err
 	}
