@@ -26,11 +26,22 @@ type Phases = netsim.Phases
 // router's route cache persists across compilations, so steady-state
 // recompilation of the same collectives reuses routes instead of
 // re-deriving them per phase.
+//
+// Flows, the paths of delegated flows and the all-to-alls' flow lists are
+// carved from chunked slabs the Ctx owns. A chunk is never handed out
+// twice: the compiled phases keep their flows alive, and the garbage
+// collector frees a chunk once no plan holds any of its flows.
 type Ctx struct {
 	Cluster *topo.Cluster
 	Router  *topo.BFSRouter
 	nextID  int
-	pairSeq map[pairKey]uint8 // per-(src,dst) rotating ECMP salt
+	saltOf  map[pairKey]int32 // endpoint pair -> its salt in salts
+	salts   []uint8           // per-(src,dst) rotating ECMP salt
+	flows   []netsim.Flow     // unused rest of the current flow chunk
+	links   []topo.LinkID     // unused rest of the current path chunk
+	lists   []*netsim.Flow    // unused rest of the current flow-list chunk
+	build   [4][]*netsim.Flow // an all-to-all's flow lists while it compiles
+	a2a     a2aScratch
 }
 
 // pairKey identifies an ordered endpoint pair for ECMP salt rotation.
@@ -42,9 +53,17 @@ type pairKey struct{ src, dst topo.NodeID }
 // router's route cache hits instead of re-deriving paths every phase.
 const ecmpSpread = 16
 
+// Slab chunk sizes: flows per flow chunk, link IDs per path chunk, flow
+// pointers per flow-list chunk.
+const (
+	flowChunk = 256
+	linkChunk = 2048
+	listChunk = 1024
+)
+
 // NewCtx creates a compilation context for a cluster.
 func NewCtx(c *topo.Cluster) *Ctx {
-	return &Ctx{Cluster: c, Router: topo.NewBFSRouter(c.G), pairSeq: make(map[pairKey]uint8)}
+	return &Ctx{Cluster: c, Router: topo.NewBFSRouter(c.G), saltOf: make(map[pairKey]int32)}
 }
 
 // ResetRunState rewinds the context's per-run compilation state — flow ID
@@ -54,18 +73,90 @@ func NewCtx(c *topo.Cluster) *Ctx {
 // for.
 func (ctx *Ctx) ResetRunState() {
 	ctx.nextID = 0
-	clear(ctx.pairSeq)
+	clear(ctx.saltOf)
+	ctx.salts = ctx.salts[:0]
 }
 
 // nextSalt returns the rotating ECMP salt for a pair and advances it.
 func (ctx *Ctx) nextSalt(src, dst topo.NodeID) uint64 {
-	if ctx.pairSeq == nil {
-		ctx.pairSeq = make(map[pairKey]uint8)
-	}
 	k := pairKey{src, dst}
-	s := ctx.pairSeq[k]
-	ctx.pairSeq[k] = (s + 1) % ecmpSpread
+	i, ok := ctx.saltOf[k]
+	if !ok {
+		if ctx.saltOf == nil {
+			ctx.saltOf = make(map[pairKey]int32)
+		}
+		i = int32(len(ctx.salts))
+		ctx.saltOf[k] = i
+		ctx.salts = append(ctx.salts, 0)
+	}
+	s := ctx.salts[i]
+	ctx.salts[i] = (s + 1) % ecmpSpread
 	return uint64(s)
+}
+
+// newFlow carves the next flow, with the next flow ID, from the flow slab.
+//
+//mixnet:noalloc
+func (ctx *Ctx) newFlow(path topo.Route, bytes float64) *netsim.Flow {
+	if len(ctx.flows) == 0 {
+		ctx.flows = make([]netsim.Flow, flowChunk)
+	}
+	f := &ctx.flows[0]
+	ctx.flows = ctx.flows[1:]
+	ctx.nextID++
+	*f = netsim.Flow{ID: ctx.nextID, Path: path, Bytes: bytes}
+	return f
+}
+
+// newPath carves an empty route with capacity n from the path slab; its
+// capacity ends where the next carve starts.
+//
+//mixnet:noalloc
+func (ctx *Ctx) newPath(n int) topo.Route {
+	if len(ctx.links) < n {
+		ctx.links = make([]topo.LinkID, max(linkChunk, n))
+	}
+	p := ctx.links[:0:n]
+	ctx.links = ctx.links[n:]
+	return p
+}
+
+// phase carves a flow list holding a's flows, then b's, from the flow-list
+// slab; it returns nil when both are empty.
+//
+//mixnet:noalloc
+func (ctx *Ctx) phase(a, b []*netsim.Flow) []*netsim.Flow {
+	n := len(a) + len(b)
+	if n == 0 {
+		return nil
+	}
+	if len(ctx.lists) < n {
+		ctx.lists = make([]*netsim.Flow, max(listChunk, n))
+	}
+	fs := ctx.lists[:n:n]
+	ctx.lists = ctx.lists[n:]
+	copy(fs[copy(fs, a):], b)
+	return fs
+}
+
+// phases assembles the non-empty flow lists into Phases, in order.
+func phases(lists ...[]*netsim.Flow) Phases {
+	n := 0
+	for _, fs := range lists {
+		if len(fs) > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(Phases, 0, n)
+	for _, fs := range lists {
+		if len(fs) > 0 {
+			out = append(out, fs)
+		}
+	}
+	return out
 }
 
 // flow routes one transfer and allocates a flow ID. Zero-byte transfers are
@@ -78,8 +169,7 @@ func (ctx *Ctx) flow(src, dst topo.NodeID, bytes float64) (*netsim.Flow, error) 
 	if err != nil {
 		return nil, fmt.Errorf("collective: route %d->%d: %w", src, dst, err)
 	}
-	ctx.nextID++
-	return &netsim.Flow{ID: ctx.nextID, Path: rt, Bytes: bytes}, nil
+	return ctx.newFlow(rt, bytes), nil
 }
 
 // flowVia routes a transfer through an explicit circuit link: the path is
@@ -101,10 +191,9 @@ func (ctx *Ctx) flowVia(src, dst topo.NodeID, viaA, viaB topo.NodeID, bytes floa
 	if err != nil {
 		return nil, fmt.Errorf("collective: route from delegate NIC: %w", err)
 	}
-	path := make(topo.Route, 0, len(head)+len(mid)+len(tail))
+	path := ctx.newPath(len(head) + len(mid) + len(tail))
 	path = append(append(append(path, head...), mid...), tail...)
-	ctx.nextID++
-	return &netsim.Flow{ID: ctx.nextID, Path: path, Bytes: bytes}, nil
+	return ctx.newFlow(path, bytes), nil
 }
 
 // RingAllReduce compiles a ring all-reduce over the given GPU nodes: every
@@ -185,7 +274,7 @@ func HierarchicalAllReduce(ctx *Ctx, servers []int, gatewayGPU int, bytes float6
 // DirectAllToAll compiles the baseline all-to-all: rank i streams
 // demand[i][j] straight to rank j's GPU over whatever fabric routing finds.
 func DirectAllToAll(ctx *Ctx, gpus []topo.NodeID, demand *metrics.Matrix) (Phases, error) {
-	var fs []*netsim.Flow
+	fs := ctx.build[0][:0]
 	for i := 0; i < demand.Rows; i++ {
 		for j := 0; j < demand.Cols; j++ {
 			if i == j {
@@ -200,10 +289,8 @@ func DirectAllToAll(ctx *Ctx, gpus []topo.NodeID, demand *metrics.Matrix) (Phase
 			}
 		}
 	}
-	if fs == nil {
-		return nil, nil
-	}
-	return Phases{fs}, nil
+	ctx.build[0] = fs
+	return phases(ctx.phase(fs, nil)), nil
 }
 
 // delegateGPU picks the GPU that fronts a NIC for delegated forwarding:
@@ -240,17 +327,14 @@ func delegateGPU(c *topo.Cluster, nic topo.NodeID) topo.NodeID {
 func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *metrics.Matrix) (Phases, error) {
 	c := ctx.Cluster
 	n := demand.Rows
-	table := c.RegionCircuitTable(region)
+	sc := &ctx.a2a
+	ns := sc.index(c, gpus[:n])
+	local := sc.local
+	sc.bucketCircuits(c, c.RegionCircuits(region))
 
-	// Aggregate demand to ordered server pairs; remember per-rank shares.
-	serverOf := make([]int, n)
-	for r, g := range gpus {
-		serverOf[r] = c.G.Node(g).Server
-	}
-	type key [2]int
-	pairVol := map[key]float64{}
-	var pairOrder []key // first-appearance order: flow compilation must be deterministic
-	var gather, inter, intra, scatter []*netsim.Flow
+	// Aggregate demand to ordered server pairs, remembering their
+	// first-appearance order: flow compilation must be deterministic.
+	gather, inter, intra, scatter := ctx.build[0][:0], ctx.build[1][:0], ctx.build[2][:0], ctx.build[3][:0]
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
@@ -260,7 +344,7 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 			if v <= 0 {
 				continue
 			}
-			si, sj := serverOf[i], serverOf[j]
+			si, sj := local[i], local[j]
 			if si == sj {
 				// Step 4: local expert exchange over NVSwitch.
 				f, err := ctx.flow(gpus[i], gpus[j], v)
@@ -272,38 +356,34 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 				}
 				continue
 			}
-			k := key{si, sj}
-			if _, seen := pairVol[k]; !seen {
-				pairOrder = append(pairOrder, k)
+			k := si*ns + sj
+			if !sc.seen[k] {
+				sc.seen[k] = true
+				sc.order = append(sc.order, int32(k))
 			}
-			pairVol[k] += v
+			sc.vol[k] += v
 		}
 	}
 
 	// Steps 1–3, 5 per ordered server pair, visited in first-appearance
-	// order: map iteration order would randomise flow IDs and ECMP salt
-	// draws run to run, breaking the byte-identical replays the
-	// batched-vs-serial (and sharded-vs-serial) guarantees rest on.
-	for _, k := range pairOrder {
-		vol := pairVol[k]
-		si, sj := k[0], k[1]
-		tk := [2]int{si, sj}
-		if si > sj {
-			tk = [2]int{sj, si}
-		}
-		circuits := table[tk]
+	// order, so flow IDs and ECMP salt draws replay identically run to run.
+	for _, k := range sc.order {
+		vol := sc.vol[k]
+		si, sj := int(k)/ns, int(k)%ns
+		circuits := sc.circuits(si, sj)
 		if len(circuits) > 0 {
 			share := vol / float64(len(circuits))
+			sc.fillShares(demand, si, sj, share/vol)
 			for _, cp := range circuits {
 				// Orient the circuit ends: A-side on si.
 				a, b := cp.A, cp.B
-				if c.G.Node(a).Server != si {
+				if c.G.Node(a).Server != sc.servers[si] {
 					a, b = b, a
 				}
 				dgA := delegateGPU(c, a)
 				dgB := delegateGPU(c, b)
 				// Step 2: gather from each source rank on si to delegate.
-				if err := addSplitFlows(ctx, &gather, gpus, serverOf, si, dgA, false, demandRowShare(demand, serverOf, si, sj, share/vol)); err != nil {
+				if err := addSplitFlows(ctx, &gather, gpus, local, si, dgA, false, sc.share); err != nil {
 					return nil, err
 				}
 				// Step 3: the delegated inter-host transfer via the circuit.
@@ -315,7 +395,7 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 					inter = append(inter, f)
 				}
 				// Step 5: scatter from delegate to destination ranks on sj.
-				if err := addSplitFlows(ctx, &scatter, gpus, serverOf, sj, dgB, true, demandColShare(demand, serverOf, si, sj, share/vol)); err != nil {
+				if err := addSplitFlows(ctx, &scatter, gpus, local, sj, dgB, true, sc.share); err != nil {
 					return nil, err
 				}
 			}
@@ -323,11 +403,11 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 		}
 		// No circuit: EPS fallback, rank-to-rank via the electrical fabric.
 		for i := 0; i < n; i++ {
-			if serverOf[i] != si {
+			if local[i] != si {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				if serverOf[j] != sj || i == j {
+				if local[j] != sj || i == j {
 					continue
 				}
 				f, err := ctx.flow(gpus[i], gpus[j], demand.At(i, j))
@@ -341,64 +421,162 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 		}
 	}
 
-	var phases Phases
-	if len(gather) > 0 {
-		phases = append(phases, gather)
-	}
+	ctx.build = [4][]*netsim.Flow{gather, inter, intra, scatter}
 	// Steps 3 and 4 overlap (§5.3): one phase.
-	overlap := append(inter, intra...)
-	if len(overlap) > 0 {
-		phases = append(phases, overlap)
-	}
-	if len(scatter) > 0 {
-		phases = append(phases, scatter)
-	}
-	return phases, nil
+	return phases(ctx.phase(gather, nil), ctx.phase(inter, intra), ctx.phase(scatter, nil)), nil
 }
 
-// demandRowShare returns per-source-rank bytes from server si toward sj,
-// scaled by share (a circuit's fraction of the pair volume).
-func demandRowShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64) map[int]float64 {
-	out := map[int]float64{}
+// a2aScratch is TopologyAwareAllToAll's dense scratch, reused across
+// compiles. Servers are numbered locally, in order of first appearance
+// among the ranks, so every table is sized by the ranks' servers only.
+type a2aScratch struct {
+	servers []int     // local server index -> global server
+	local   []int     // rank -> local server index
+	vol     []float64 // ns×ns ordered pair volumes
+	seen    []bool    // ns×ns: the pair is in order
+	order   []int32   // ordered pairs si*ns+sj in first-appearance order
+	off     []int32   // ns×ns+1: unordered pair k's circuits are circ[off[k]:off[k+1]]
+	bucket  []int32   // per region circuit: its unordered pair lo*ns+hi, or -1
+	circ    []topo.CircuitPair
+	share   []float64 // per rank: row shares on si, column shares on sj
+}
+
+// index numbers the servers of the rank leaders gpus, fills local and
+// clears the pair tables. It returns the number of servers.
+//
+//mixnet:noalloc
+func (sc *a2aScratch) index(c *topo.Cluster, gpus []topo.NodeID) int {
+	servers, local := sc.servers[:0], sc.local[:0]
+	for _, g := range gpus {
+		s := c.G.Node(g).Server
+		li := indexOf(servers, s)
+		if li < 0 {
+			li = len(servers)
+			servers = append(servers, s)
+		}
+		local = append(local, li)
+	}
+	sc.servers, sc.local = servers, local
+	ns := len(servers)
+	if cap(sc.vol) < ns*ns {
+		sc.vol = make([]float64, ns*ns)
+		sc.seen = make([]bool, ns*ns)
+	}
+	sc.vol, sc.seen = sc.vol[:ns*ns], sc.seen[:ns*ns]
+	clear(sc.vol)
+	clear(sc.seen)
+	sc.order = sc.order[:0]
+	if cap(sc.share) < len(gpus) {
+		sc.share = make([]float64, len(gpus))
+	}
+	sc.share = sc.share[:len(gpus)]
+	return ns
+}
+
+// bucketCircuits groups a region's circuits by the unordered local server
+// pair they join, keeping their order within a pair. Circuits touching a
+// server that holds no rank are never looked up and are left out.
+//
+//mixnet:noalloc
+func (sc *a2aScratch) bucketCircuits(c *topo.Cluster, pairs []topo.CircuitPair) {
+	ns := len(sc.servers)
+	if cap(sc.off) < ns*ns+1 {
+		sc.off = make([]int32, ns*ns+1)
+	}
+	off := sc.off[:ns*ns+1]
+	clear(off)
+	bucket := sc.bucket[:0]
+	for _, p := range pairs {
+		la := indexOf(sc.servers, c.G.Node(p.A).Server)
+		lb := indexOf(sc.servers, c.G.Node(p.B).Server)
+		k := int32(-1)
+		if la >= 0 && lb >= 0 && la != lb {
+			k = int32(min(la, lb)*ns + max(la, lb))
+			off[k]++
+		}
+		bucket = append(bucket, k)
+	}
+	// Prefix sums leave off[k] at the end of pair k's circuits; placing
+	// them back to front walks it down to their start.
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	if cap(sc.circ) < int(off[ns*ns]) {
+		sc.circ = make([]topo.CircuitPair, off[ns*ns])
+	}
+	sc.circ = sc.circ[:off[ns*ns]]
+	for i := len(bucket) - 1; i >= 0; i-- {
+		if k := bucket[i]; k >= 0 {
+			off[k]--
+			sc.circ[off[k]] = pairs[i]
+		}
+	}
+	sc.off, sc.bucket = off, bucket
+}
+
+// indexOf returns the position of s in servers, or -1.
+//
+//mixnet:noalloc
+func indexOf(servers []int, s int) int {
+	for i, x := range servers {
+		if x == s {
+			return i
+		}
+	}
+	return -1
+}
+
+// circuits returns the circuits between local servers si and sj, in
+// installation order.
+func (sc *a2aScratch) circuits(si, sj int) []topo.CircuitPair {
+	k := min(si, sj)*len(sc.servers) + max(si, sj)
+	return sc.circ[sc.off[k]:sc.off[k+1]]
+}
+
+// fillShares writes into share, for every rank on si, its bytes toward sj
+// and, for every rank on sj, its bytes from si, each scaled by frac (a
+// circuit's fraction of the pair volume). The sums run in the same order
+// for every rank and every circuit of the pair.
+//
+//mixnet:noalloc
+func (sc *a2aScratch) fillShares(d *metrics.Matrix, si, sj int, frac float64) {
+	local, out := sc.local, sc.share
 	for i := 0; i < d.Rows; i++ {
-		if serverOf[i] != si {
+		if local[i] != si {
 			continue
 		}
+		out[i] = 0
 		for j := 0; j < d.Cols; j++ {
-			if serverOf[j] == sj && i != j {
-				out[i] += d.At(i, j) * share
+			if local[j] == sj && i != j {
+				out[i] += d.At(i, j) * frac
 			}
 		}
 	}
-	return out
-}
-
-// demandColShare returns per-destination-rank bytes on server sj received
-// from si, scaled by share.
-func demandColShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64) map[int]float64 {
-	out := map[int]float64{}
 	for j := 0; j < d.Cols; j++ {
-		if serverOf[j] != sj {
+		if local[j] != sj {
 			continue
 		}
+		out[j] = 0
 		for i := 0; i < d.Rows; i++ {
-			if serverOf[i] == si && i != j {
-				out[j] += d.At(i, j) * share
+			if local[i] == si && i != j {
+				out[j] += d.At(i, j) * frac
 			}
 		}
 	}
-	return out
 }
 
 // addSplitFlows emits gather or scatter flows between rank GPUs and a
-// delegate GPU on one server: rank->delegate when fromDelegate is false
-// (step 2), delegate->rank when true (step 5). Ranks are visited in
-// ascending order (not map order) so flow IDs and ECMP salts replay
-// identically across runs.
-func addSplitFlows(ctx *Ctx, dst *[]*netsim.Flow, gpus []topo.NodeID, serverOf []int, server int, delegate topo.NodeID, fromDelegate bool, perRank map[int]float64) error {
+// delegate GPU on one local server: rank->delegate when fromDelegate is
+// false (step 2), delegate->rank when true (step 5), carrying each rank's
+// bytes from perRank. Ranks are visited in ascending order so flow IDs and
+// ECMP salts replay identically across runs.
+func addSplitFlows(ctx *Ctx, dst *[]*netsim.Flow, gpus []topo.NodeID, local []int, server int, delegate topo.NodeID, fromDelegate bool, perRank []float64) error {
 	for r := 0; r < len(gpus); r++ {
-		v, ok := perRank[r]
-		if !ok || gpus[r] == delegate || v <= 0 || serverOf[r] != server {
+		if local[r] != server {
+			continue
+		}
+		v := perRank[r]
+		if gpus[r] == delegate || v <= 0 {
 			continue
 		}
 		src, d := gpus[r], delegate

@@ -135,3 +135,35 @@ func TestCompileRoutesAroundFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestResetRunStateRewindsCompile: after ResetRunState a used Ctx must
+// compile exactly what a fresh Ctx on the same cluster compiles — the same
+// flow IDs, paths and bytes. MixNet's topology-aware all-to-all checks the
+// flow IDs; a direct all-to-all on a fat-tree, where the ECMP salt picks
+// among equal-cost paths, checks the salt rotation.
+func TestResetRunStateRewindsCompile(t *testing.T) {
+	c, gpus, d := a2aWorkload(2)
+	used := NewCtx(c)
+	for k := 0; k < 5; k++ {
+		if _, err := TopologyAwareAllToAll(used, 0, gpus, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used.ResetRunState()
+	got, err := TopologyAwareAllToAll(used, 0, gpus, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := TopologyAwareAllToAll(NewCtx(c), 0, gpus, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requirePhasesEqual(t, []Phases{got}, []Phases{want})
+
+	ft := fatTreeCtx(t, 8)
+	for k := 0; k < 5; k++ {
+		compileWorkload(t, ft, 1)
+	}
+	ft.ResetRunState()
+	requirePhasesEqual(t, compileWorkload(t, ft, 3), compileWorkload(t, NewCtx(ft.Cluster), 3))
+}

@@ -99,10 +99,13 @@ func benchSimulate(b *testing.B, scenario func() (*topo.Graph, []*Flow)) {
 func BenchmarkComputeMaxMin(b *testing.B) {
 	g, flows := benchScenario()
 	sim := NewSim()
+	if err := sim.load(g, flows); err != nil {
+		b.Fatal(err)
+	}
 	b.Run("arena", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sim.computeMaxMin(g, flows)
+			sim.computeMaxMin(flows)
 		}
 	})
 	b.Run("map-baseline", func(b *testing.B) {
@@ -133,7 +136,7 @@ func TestSimulateSteadyStateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: Sim.Simulate steady state allocates %v objects/run, want 0", name, allocs)
 		}
-		allocs = testing.AllocsPerRun(10, func() { sim.computeMaxMin(g, flows) })
+		allocs = testing.AllocsPerRun(10, func() { sim.computeMaxMin(flows) })
 		if allocs != 0 {
 			t.Errorf("%s: computeMaxMin steady state allocates %v objects/run, want 0", name, allocs)
 		}
@@ -145,7 +148,10 @@ func TestSimulateSteadyStateZeroAllocs(t *testing.T) {
 func TestArenaMatchesMapBaseline(t *testing.T) {
 	g, flows := benchScenario()
 	sim := NewSim()
-	sim.computeMaxMin(g, flows)
+	if err := sim.load(g, flows); err != nil {
+		t.Fatal(err)
+	}
+	sim.computeMaxMin(flows)
 	arenaRates := make([]float64, len(flows))
 	for i, f := range flows {
 		arenaRates[i] = f.rate

@@ -84,3 +84,53 @@ func replayPhases(t *testing.T, fabric, drill string) {
 	}
 	t.Logf("%s: %d phases, %d flows bitwise equal", name, phases, flows)
 }
+
+// BenchmarkSimulateEnginePhases replays every fluid phase of a 2-iteration
+// quick Mixtral run on MixNet (seed 7), the traffic perfbench prices, through
+// one Sim, and requires a warm replay to allocate nothing.
+func BenchmarkSimulateEnginePhases(b *testing.B) {
+	e, err := scenario.NewEngine(scenario.Config{Fabric: "mixnet", Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var phases [][]*flowsim.Flow
+	flows := 0
+	for it := 0; it < 2; it++ {
+		if _, err := e.RunIteration(); err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range e.CommPlan().Steps() {
+			for _, fs := range s.Phases {
+				if len(fs) == 0 {
+					continue
+				}
+				ph := make([]*flowsim.Flow, len(fs))
+				for i, f := range fs {
+					ph[i] = &flowsim.Flow{ID: f.ID, Path: f.Path, Bytes: f.Bytes, Start: f.Start}
+				}
+				phases = append(phases, ph)
+				flows += len(fs)
+			}
+		}
+	}
+	g := e.Cluster.G
+	sim := flowsim.NewSim()
+	replay := func() {
+		for _, fs := range phases {
+			if _, err := sim.Simulate(g, fs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	replay() // warm buffers
+	if allocs := testing.AllocsPerRun(3, replay); allocs != 0 {
+		b.Fatalf("replaying %d phases allocates %v objects, want 0", len(phases), allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
+	}
+	b.ReportMetric(float64(len(phases)), "phases/op")
+	b.ReportMetric(float64(flows), "flows/op")
+}

@@ -38,7 +38,10 @@ type Flow struct {
 
 	remaining float64
 	rate      float64
-	comp      int32 // link-disjoint component: its root link slot, set by label
+	lat       float64 // path latency, recorded by load
+	thresh    float64 // remaining bytes at or below which the flow is done, recorded by load
+	lo, hi    int32   // the flow's link slots are Sim.slots[lo:hi], recorded by load
+	comp      int32   // link-disjoint component: its root link slot, set by label
 	frozen    bool
 	started   bool
 	done      bool
@@ -63,6 +66,7 @@ type Sim struct {
 	active  []*Flow
 	prev    []*Flow // the active set before the last progress step; the next one is written here
 	refill  []*Flow // active flows of the changed components, in active order
+	slots   []int32 // every flow's link storage slots, in flow order (Flow.lo:hi)
 	arena   linkArena
 }
 
@@ -75,6 +79,7 @@ type Sim struct {
 type linkArena struct {
 	epoch   uint32
 	stamp   []uint32  // stamp[l] == epoch => cap/count valid for slot l
+	bps8    []float64 // capacity in bytes/s of every slot the call's flows cross, recorded by load
 	cap     []float64 // remaining capacity, bytes/s
 	count   []int32   // unfrozen flows crossing the link
 	parent  []int32   // union-find over the call's link slots, valid where stamped by label
@@ -82,18 +87,25 @@ type linkArena struct {
 	touched []int32   // link storage slots referenced by the active set (not IDs)
 }
 
-// reset prepares the arena for a graph with nLinks links and starts a new
-// epoch. Allocation happens only when the graph outgrew the arena.
+// grow sizes the arena for a graph with nLinks links. Allocation happens
+// only when the graph outgrew the arena.
 //
 //mixnet:noalloc
-func (a *linkArena) reset(nLinks int) {
+func (a *linkArena) grow(nLinks int) {
 	if len(a.stamp) < nLinks {
 		a.stamp = make([]uint32, nLinks)
+		a.bps8 = make([]float64, nLinks)
 		a.cap = make([]float64, nLinks)
 		a.count = make([]int32, nLinks)
 		a.parent = make([]int32, nLinks)
 		a.dirty = make([]bool, nLinks)
 	}
+}
+
+// next starts a new epoch on an arena already grown to the graph.
+//
+//mixnet:noalloc
+func (a *linkArena) next() {
 	a.epoch++
 	if a.epoch == 0 { // wrapped: stamps from the previous cycle are stale
 		clear(a.stamp)
@@ -134,31 +146,8 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 	if len(flows) == 0 {
 		return res, nil
 	}
-	// Validate paths and initialise state.
-	for _, f := range flows {
-		if f.Bytes < 0 {
-			return res, fmt.Errorf("flowsim: flow %d negative bytes", f.ID)
-		}
-		// Progressive filling never drains an infinite or NaN flow, and a NaN
-		// start is never admitted: either would spin the event loop forever.
-		// The comparisons are false for NaN.
-		if !(f.Bytes <= math.MaxFloat64) || !(math.Abs(f.Start) <= math.MaxFloat64) {
-			return res, fmt.Errorf("flowsim: flow %d non-finite bytes %g or start %g", f.ID, f.Bytes, f.Start)
-		}
-		for _, lid := range f.Path {
-			l := g.Link(lid)
-			if !l.Up {
-				return res, fmt.Errorf("flowsim: flow %d uses down link %d", f.ID, lid)
-			}
-			// A non-positive share never freezes a flow in computeMaxMin, so
-			// the progressive filling would spin forever.
-			if l.Bps <= 0 {
-				return res, fmt.Errorf("flowsim: flow %d uses zero-capacity link %d", f.ID, lid)
-			}
-		}
-		f.remaining = f.Bytes
-		f.started, f.done = false, false
-		f.Finish = 0
+	if err := s.load(g, flows); err != nil {
+		return res, err
 	}
 
 	// Pending flows sorted by start time.
@@ -193,10 +182,9 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 			f := pending[nextPending]
 			nextPending++
 			f.started = true
-			lat := topo.PathLatency(g, f.Path)
 			if f.Bytes == 0 || len(f.Path) == 0 {
 				f.done = true
-				f.Finish = now + lat
+				f.Finish = now + f.lat
 				if f.Finish > res.Makespan {
 					res.Makespan = f.Finish
 				}
@@ -216,12 +204,12 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 		if changed {
 			refill := active
 			if refilled && comps == 0 {
-				comps = s.label(g, flows)
+				comps = s.label(flows)
 			}
 			if comps > 1 {
 				refill = s.changedFlows(active, prev, pending[admitted:nextPending])
 			}
-			s.computeMaxMin(g, refill)
+			s.computeMaxMin(refill)
 			res.Events += len(refill)
 			refilled, changed = true, false
 			admitted = nextPending
@@ -254,9 +242,9 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 		out := prev[:0]
 		for _, f := range active {
 			f.remaining -= f.rate * dt
-			if f.remaining <= 1e-9*math.Max(1, f.Bytes) {
+			if f.remaining <= f.thresh {
 				f.done = true
-				f.Finish = now + topo.PathLatency(g, f.Path)
+				f.Finish = now + f.lat
 				if f.Finish > res.Makespan {
 					res.Makespan = f.Finish
 				}
@@ -269,6 +257,53 @@ func (s *Sim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 	}
 	s.release(pending, active, prev)
 	return res, nil
+}
+
+// load validates the flows and initialises their state. Reading every link
+// of every path once, it records each flow's link slots in s.slots, its
+// path latency (summed in path order, as topo.PathLatency does) and its
+// completion threshold, and each slot's capacity in bytes/s in the arena,
+// so the event loop makes no per-hop graph lookups.
+func (s *Sim) load(g *topo.Graph, flows []*Flow) error {
+	a := &s.arena
+	a.grow(len(g.Links))
+	slots := s.slots[:0]
+	for _, f := range flows {
+		if f.Bytes < 0 {
+			return fmt.Errorf("flowsim: flow %d negative bytes", f.ID)
+		}
+		// Progressive filling never drains an infinite or NaN flow, and a NaN
+		// start is never admitted: either would spin the event loop forever.
+		// The comparisons are false for NaN.
+		if !(f.Bytes <= math.MaxFloat64) || !(math.Abs(f.Start) <= math.MaxFloat64) {
+			return fmt.Errorf("flowsim: flow %d non-finite bytes %g or start %g", f.ID, f.Bytes, f.Start)
+		}
+		f.lo = int32(len(slots))
+		var lat float64
+		for _, lid := range f.Path {
+			li := g.LinkIndex(lid)
+			l := &g.Links[li]
+			if !l.Up {
+				return fmt.Errorf("flowsim: flow %d uses down link %d", f.ID, lid)
+			}
+			// A non-positive share never freezes a flow in computeMaxMin, so
+			// the progressive filling would spin forever.
+			if l.Bps <= 0 {
+				return fmt.Errorf("flowsim: flow %d uses zero-capacity link %d", f.ID, lid)
+			}
+			a.bps8[li] = l.Bps / 8
+			lat += l.Latency
+			slots = append(slots, li)
+		}
+		f.hi = int32(len(slots))
+		f.lat = lat
+		f.thresh = 1e-9 * math.Max(1, f.Bytes)
+		f.remaining = f.Bytes
+		f.started, f.done = false, false
+		f.Finish = 0
+	}
+	s.slots = slots
+	return nil
 }
 
 // release hands the (possibly regrown) buffers back to the Sim and drops
@@ -294,17 +329,16 @@ func (s *Sim) release(pending, active, prev []*Flow) {
 // It clears the components' dirty marks and returns their number.
 //
 //mixnet:noalloc
-func (s *Sim) label(g *topo.Graph, flows []*Flow) int {
+func (s *Sim) label(flows []*Flow) int {
 	a := &s.arena
-	a.reset(len(g.Links))
+	a.next()
 	comps := 0
 	for _, f := range flows {
 		if f.Bytes == 0 || len(f.Path) == 0 {
 			continue
 		}
 		r := int32(-1) // root of the flow's links so far
-		for _, lid := range f.Path {
-			li := g.LinkIndex(lid)
+		for _, li := range s.slots[f.lo:f.hi] {
 			if a.stamp[li] != a.epoch {
 				a.stamp[li] = a.epoch
 				if r < 0 {
@@ -327,7 +361,7 @@ func (s *Sim) label(g *topo.Graph, flows []*Flow) int {
 	}
 	for _, f := range flows {
 		if f.Bytes != 0 && len(f.Path) != 0 {
-			f.comp = a.root(g.LinkIndex(f.Path[0]))
+			f.comp = a.root(s.slots[f.lo])
 			a.dirty[f.comp] = false
 		}
 	}
@@ -379,22 +413,21 @@ func (s *Sim) changedFlows(active, prev, arrived []*Flow) []*Flow {
 }
 
 // computeMaxMin assigns max-min fair rates (bytes/s) to the active flows by
-// progressive filling over the dense link arena. It allocates only when the
-// graph outgrew the arena.
+// progressive filling over the dense link arena, reading the link slots and
+// capacities load recorded.
 //
 //mixnet:noalloc
-func (s *Sim) computeMaxMin(g *topo.Graph, active []*Flow) {
+func (s *Sim) computeMaxMin(active []*Flow) {
 	a := &s.arena
-	a.reset(len(g.Links))
+	a.next()
 	epoch := a.epoch
 	for _, f := range active {
 		f.frozen = false
 		f.rate = 0
-		for _, lid := range f.Path {
-			li := g.LinkIndex(lid)
+		for _, li := range s.slots[f.lo:f.hi] {
 			if a.stamp[li] != epoch {
 				a.stamp[li] = epoch
-				a.cap[li] = g.Links[li].Bps / 8
+				a.cap[li] = a.bps8[li]
 				a.count[li] = 0
 				a.touched = append(a.touched, li)
 			}
@@ -432,8 +465,7 @@ func (s *Sim) computeMaxMin(g *topo.Graph, active []*Flow) {
 				continue
 			}
 			bottled := false
-			for _, lid := range f.Path {
-				li := g.LinkIndex(lid)
+			for _, li := range s.slots[f.lo:f.hi] {
 				if c := a.count[li]; c > 0 && a.cap[li]/float64(c) <= min*(1+1e-12) {
 					bottled = true
 					break
@@ -445,8 +477,7 @@ func (s *Sim) computeMaxMin(g *topo.Graph, active []*Flow) {
 			f.rate = min
 			f.frozen = true
 			unfrozen--
-			for _, lid := range f.Path {
-				li := g.LinkIndex(lid)
+			for _, li := range s.slots[f.lo:f.hi] {
 				a.cap[li] -= min
 				if a.cap[li] < 0 {
 					a.cap[li] = 0

@@ -137,6 +137,13 @@ func (s *refSim) Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
 	return res, nil
 }
 
+// reset prepares the arena for a graph with nLinks links and starts a new
+// epoch, as the full-refill solver's computeMaxMin did on every refill.
+func (a *linkArena) reset(nLinks int) {
+	a.grow(nLinks)
+	a.next()
+}
+
 // release hands the (possibly regrown) buffers back to the Sim and drops
 // flow pointers so a pooled Sim does not pin the last caller's flow set.
 //

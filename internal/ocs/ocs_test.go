@@ -2,6 +2,7 @@ package ocs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -210,8 +211,8 @@ func TestPropertyGreedyBudget(t *testing.T) {
 	}
 }
 
-func buildRegion(t *testing.T) (*topo.Cluster, *Controller) {
-	t.Helper()
+func buildRegion(tb testing.TB) (*topo.Cluster, *Controller) {
+	tb.Helper()
 	c := topo.BuildMixNet(topo.DefaultSpec(8, 100*topo.Gbps))
 	ct := NewController(c, 0, NewFixedDevice(25e-3))
 	return c, ct
@@ -259,11 +260,21 @@ func TestControllerPlanApply(t *testing.T) {
 	if delay != 25e-3 {
 		t.Errorf("delay = %v, want fixed 25ms", delay)
 	}
-	table := c.RegionCircuitTable(0)
-	if len(table[[2]int{0, 1}]) <= len(table[[2]int{1, 2}]) {
-		t.Errorf("hot pair circuits %d !> cold pair %d",
-			len(table[[2]int{0, 1}]), len(table[[2]int{1, 2}]))
+	if hot, cold := circuitsBetween(c, 0, 1), circuitsBetween(c, 1, 2); hot <= cold {
+		t.Errorf("hot pair circuits %d !> cold pair %d", hot, cold)
 	}
+}
+
+// circuitsBetween counts region 0's circuits between servers a and b.
+func circuitsBetween(c *topo.Cluster, a, b int) int {
+	n := 0
+	for _, p := range c.RegionCircuits(0) {
+		sa, sb := c.G.Node(p.A).Server, c.G.Node(p.B).Server
+		if sa == a && sb == b || sa == b && sb == a {
+			n++
+		}
+	}
+	return n
 }
 
 func TestControllerAlphaCap(t *testing.T) {
@@ -338,5 +349,23 @@ func TestPlanFromRankDemand(t *testing.T) {
 	}
 	if hot == 0 {
 		t.Error("no circuits between the only demanding pair")
+	}
+}
+
+// BenchmarkControllerPlan plans one region of eight servers from a random
+// EP-rank demand, one plan per MoE layer's dispatch on MixNet.
+func BenchmarkControllerPlan(b *testing.B) {
+	_, ct := buildRegion(b)
+	serverOfRank := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	rank := randomRankDemand(rand.New(rand.NewSource(1)), len(serverOfRank))
+	if _, err := ct.PlanFromRankDemand(rank, serverOfRank); err != nil { // warm scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ct.PlanFromRankDemand(rank, serverOfRank); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

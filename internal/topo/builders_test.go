@@ -147,7 +147,7 @@ func TestBuildMixNet(t *testing.T) {
 		}
 	}
 	// Uniform initial circuits: every server in region 0 has 6 circuits.
-	table := c.RegionCircuitTable(0)
+	table := regionCircuitTable(c, 0)
 	perServer := map[int]int{}
 	for key, pairs := range table {
 		perServer[key[0]] += len(pairs)
@@ -180,7 +180,7 @@ func TestMixNetReconfigure(t *testing.T) {
 	if err := c.SetRegionCircuits(0, pairs); err != nil {
 		t.Fatal(err)
 	}
-	table := c.RegionCircuitTable(0)
+	table := regionCircuitTable(c, 0)
 	if got := len(table[[2]int{0, 1}]); got != 3 {
 		t.Errorf("circuits between 0-1 = %d, want 3", got)
 	}
@@ -335,4 +335,20 @@ func TestPropertyUniformCircuitBudget(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// regionCircuitTable indexes a region's circuits by server pair: the key is
+// (low server index, high server index).
+func regionCircuitTable(c *Cluster, region int) map[[2]int][]CircuitPair {
+	t := make(map[[2]int][]CircuitPair)
+	for _, p := range c.RegionCircuits(region) {
+		sa := c.G.Node(p.A).Server
+		sb := c.G.Node(p.B).Server
+		key := [2]int{sa, sb}
+		if sa > sb {
+			key = [2]int{sb, sa}
+		}
+		t[key] = append(t[key], p)
+	}
+	return t
 }

@@ -237,22 +237,3 @@ func (c *Cluster) RegionCircuits(region int) []CircuitPair {
 	}
 	return c.ocs[region].pairs
 }
-
-// CircuitTable summarises, for one region, the installed circuits between
-// server pairs: key is (low server index, high server index).
-type CircuitTable map[[2]int][]CircuitPair
-
-// RegionCircuitTable indexes a region's circuits by server pair.
-func (c *Cluster) RegionCircuitTable(region int) CircuitTable {
-	t := make(CircuitTable)
-	for _, p := range c.RegionCircuits(region) {
-		sa := c.G.Node(p.A).Server
-		sb := c.G.Node(p.B).Server
-		key := [2]int{sa, sb}
-		if sa > sb {
-			key = [2]int{sb, sa}
-		}
-		t[key] = append(t[key], p)
-	}
-	return t
-}
