@@ -141,6 +141,7 @@ func AblationNUMAPermute() (Table, error) {
 		Notes:  "unbalanced mapping congests one PCIe/NUMA hub (§5.2 step 4)",
 	}
 	spec := topo.DefaultSpec(8, 100*topo.Gbps)
+	sim := flowsim.NewSim()
 	run := func(balanced bool) (float64, error) {
 		c := topo.BuildMixNet(spec)
 		s0 := c.Server(0).OCSNICs()
@@ -191,7 +192,8 @@ func AblationNUMAPermute() (Table, error) {
 			path := append(append(append(topo.Route{}, head...), mid...), tail...)
 			flows = append(flows, &flowsim.Flow{ID: i, Path: path, Bytes: 1e9})
 		}
-		return flowsim.Makespan(c.G, flows), nil
+		res, err := sim.Simulate(c.G, flows)
+		return res.Makespan, err
 	}
 	bal, err := run(true)
 	if err != nil {

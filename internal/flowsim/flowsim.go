@@ -13,15 +13,14 @@
 // per-link arena (epoch-stamped slices indexed by topo.LinkID plus a
 // touched-link list) and reusable pending/active buffers, so repeated
 // Simulate calls over the same graph perform zero heap allocations once
-// the buffers have grown to size. The package-level Simulate draws Sims
-// from a pool and is safe for concurrent use.
+// the buffers have grown to size. A Sim is not safe for concurrent use:
+// give each goroutine its own.
 package flowsim
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"mixnet/internal/topo"
 )
@@ -117,22 +116,10 @@ func (a *linkArena) next() {
 // NewSim returns an empty reusable simulator.
 func NewSim() *Sim { return &Sim{} }
 
-// simPool backs the package-level Simulate so legacy callers also reuse
-// buffers without sharing a Sim across goroutines.
-var simPool = sync.Pool{New: func() any { return NewSim() }}
-
-// Simulate computes max-min fair completion times for the given flows over
-// graph g. Flow Finish fields are written in place. Links that are down
-// make their flows error. It is safe for concurrent use; callers with a
-// long-lived Sim should prefer Sim.Simulate to keep buffer reuse local.
-func Simulate(g *topo.Graph, flows []*Flow) (Result, error) {
-	s := simPool.Get().(*Sim)
-	res, err := s.Simulate(g, flows)
-	simPool.Put(s)
-	return res, err
-}
-
-// Simulate runs one fluid simulation reusing the Sim's buffers.
+// Simulate computes max-min fair completion times for flows over g,
+// writes each flow's Finish in place and reuses the Sim's buffers. A flow
+// with a negative or non-finite size or start, or over a down or
+// zero-capacity link, is an error.
 //
 // Disjoint components share no link, so refilling only the changed ones
 // leaves every other flow at the rate a full refill would give it, with one
@@ -307,7 +294,7 @@ func (s *Sim) load(g *topo.Graph, flows []*Flow) error {
 }
 
 // release hands the (possibly regrown) buffers back to the Sim and drops
-// flow pointers so a pooled Sim does not pin the last caller's flow set.
+// flow pointers so a reused Sim does not pin the last caller's flow set.
 //
 //mixnet:noalloc
 func (s *Sim) release(pending, active, prev []*Flow) {
@@ -486,24 +473,4 @@ func (s *Sim) computeMaxMin(active []*Flow) {
 			}
 		}
 	}
-}
-
-// Makespan is a convenience wrapper: simulate and return only the makespan.
-// It panics on simulation errors (down links, negative sizes), which are
-// programming errors in the callers.
-func Makespan(g *topo.Graph, flows []*Flow) float64 {
-	res, err := Simulate(g, flows)
-	if err != nil {
-		panic(err)
-	}
-	return res.Makespan
-}
-
-// TotalBytes sums the payload of a flow set.
-func TotalBytes(flows []*Flow) float64 {
-	var s float64
-	for _, f := range flows {
-		s += f.Bytes
-	}
-	return s
 }

@@ -36,7 +36,7 @@ func route(t *testing.T, g *topo.Graph, src, dst topo.NodeID) topo.Route {
 func TestSingleFlow(t *testing.T) {
 	g, nodes := chain(80e9, 1) // 80 Gb/s = 10 GB/s
 	f := &Flow{ID: 1, Path: route(t, g, nodes[0], nodes[1]), Bytes: 10e9}
-	res, err := Simulate(g, []*Flow{f})
+	res, err := NewSim().Simulate(g, []*Flow{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 	rt := route(t, g, nodes[0], nodes[1])
 	f1 := &Flow{ID: 1, Path: rt, Bytes: 10e9}
 	f2 := &Flow{ID: 2, Path: rt, Bytes: 10e9}
-	if _, err := Simulate(g, []*Flow{f1, f2}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f1, f2}); err != nil {
 		t.Fatal(err)
 	}
 	// Equal shares: both finish at 2s.
@@ -68,7 +68,7 @@ func TestShortFlowReleasesBandwidth(t *testing.T) {
 	rt := route(t, g, nodes[0], nodes[1])
 	long := &Flow{ID: 1, Path: rt, Bytes: 15e9}
 	short := &Flow{ID: 2, Path: rt, Bytes: 5e9}
-	if _, err := Simulate(g, []*Flow{long, short}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{long, short}); err != nil {
 		t.Fatal(err)
 	}
 	// Share until short done at t=1 (5GB at 5GB/s), then long alone:
@@ -88,7 +88,7 @@ func TestParkingLot(t *testing.T) {
 	longF := &Flow{ID: 1, Path: route(t, g, nodes[0], nodes[2]), Bytes: 5e9}
 	h1 := &Flow{ID: 2, Path: route(t, g, nodes[0], nodes[1]), Bytes: 5e9}
 	h2 := &Flow{ID: 3, Path: route(t, g, nodes[1], nodes[2]), Bytes: 5e9}
-	if _, err := Simulate(g, []*Flow{longF, h1, h2}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{longF, h1, h2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []*Flow{longF, h1, h2} {
@@ -108,7 +108,7 @@ func TestMaxMinUnevenPaths(t *testing.T) {
 	g.AddDuplex(b, c, 40e9, 0)
 	f1 := &Flow{ID: 1, Path: route(t, g, a, c), Bytes: 5e9}
 	f2 := &Flow{ID: 2, Path: route(t, g, a, b), Bytes: 5e9}
-	if _, err := Simulate(g, []*Flow{f1, f2}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f1, f2}); err != nil {
 		t.Fatal(err)
 	}
 	// f1 limited by B->C at 5 GB/s; f2 gets remaining 5 GB/s of A->B.
@@ -125,7 +125,7 @@ func TestDelayedStart(t *testing.T) {
 	rt := route(t, g, nodes[0], nodes[1])
 	f1 := &Flow{ID: 1, Path: rt, Bytes: 10e9}
 	f2 := &Flow{ID: 2, Path: rt, Bytes: 10e9, Start: 1.0}
-	if _, err := Simulate(g, []*Flow{f1, f2}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f1, f2}); err != nil {
 		t.Fatal(err)
 	}
 	// f1 alone [0,1): does 10GB by t=1... finishes exactly at 1 (before
@@ -141,7 +141,7 @@ func TestDelayedStart(t *testing.T) {
 func TestZeroByteFlow(t *testing.T) {
 	g, nodes := chain(80e9, 3)
 	f := &Flow{ID: 1, Path: route(t, g, nodes[0], nodes[3]), Bytes: 0}
-	if _, err := Simulate(g, []*Flow{f}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f}); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(f.Finish-3e-6) > 1e-9 {
@@ -152,7 +152,7 @@ func TestZeroByteFlow(t *testing.T) {
 func TestEmptyPathFlow(t *testing.T) {
 	g, _ := chain(80e9, 1)
 	f := &Flow{ID: 1, Bytes: 1e9, Start: 0.5}
-	if _, err := Simulate(g, []*Flow{f}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f}); err != nil {
 		t.Fatal(err)
 	}
 	if f.Finish != 0.5 {
@@ -164,7 +164,7 @@ func TestDownLinkErrors(t *testing.T) {
 	g, nodes := chain(80e9, 1)
 	rt := route(t, g, nodes[0], nodes[1])
 	g.SetLinkUp(rt[0], false)
-	if _, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1}}); err == nil {
+	if _, err := NewSim().Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1}}); err == nil {
 		t.Error("expected error for flow over down link")
 	}
 }
@@ -176,7 +176,7 @@ func TestNonPositiveCapacityErrors(t *testing.T) {
 		g, nodes := chain(bps, 2)
 		rt := route(t, g, nodes[0], nodes[2])
 		done := make(chan error, 1)
-		go func() { _, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1 << 20}}); done <- err }()
+		go func() { _, err := NewSim().Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1 << 20}}); done <- err }()
 		select {
 		case err := <-done:
 			if err == nil {
@@ -204,7 +204,7 @@ func TestNonFiniteFlowErrors(t *testing.T) {
 		rt := route(t, g, nodes[0], nodes[1])
 		done := make(chan error, 1)
 		go func() {
-			_, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: c.bytes, Start: c.start}})
+			_, err := NewSim().Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: c.bytes, Start: c.start}})
 			done <- err
 		}()
 		select {
@@ -221,23 +221,16 @@ func TestNonFiniteFlowErrors(t *testing.T) {
 func TestNegativeBytesErrors(t *testing.T) {
 	g, nodes := chain(80e9, 1)
 	rt := route(t, g, nodes[0], nodes[1])
-	if _, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: -5}}); err == nil {
+	if _, err := NewSim().Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: -5}}); err == nil {
 		t.Error("expected error for negative bytes")
 	}
 }
 
 func TestNoFlows(t *testing.T) {
 	g, _ := chain(80e9, 1)
-	res, err := Simulate(g, nil)
+	res, err := NewSim().Simulate(g, nil)
 	if err != nil || res.Makespan != 0 {
 		t.Errorf("empty simulate: %v, %v", res, err)
-	}
-}
-
-func TestTotalBytes(t *testing.T) {
-	flows := []*Flow{{Bytes: 3}, {Bytes: 4}}
-	if got := TotalBytes(flows); got != 7 {
-		t.Errorf("TotalBytes = %v, want 7", got)
 	}
 }
 
@@ -257,7 +250,7 @@ func TestPropertyMakespanBounds(t *testing.T) {
 			total += b
 			flows = append(flows, &Flow{ID: i, Path: rt, Bytes: b})
 		}
-		res, err := Simulate(g, flows)
+		res, err := NewSim().Simulate(g, flows)
 		if err != nil {
 			return false
 		}
@@ -288,7 +281,7 @@ func TestPropertyConservationWithArrivals(t *testing.T) {
 			// Arrivals within the first flow's lifetime keep the link busy.
 			flows = append(flows, &Flow{ID: i, Path: rt, Bytes: b, Start: rng.Float64() * 5})
 		}
-		res, err := Simulate(g, flows)
+		res, err := NewSim().Simulate(g, flows)
 		if err != nil {
 			return false
 		}
@@ -312,12 +305,12 @@ func TestPropertyMonotoneUnderLoad(t *testing.T) {
 			{ID: 1, Path: rtFull, Bytes: 1e9 * (1 + rng.Float64())},
 			{ID: 2, Path: rtHalf, Bytes: 1e9 * (1 + rng.Float64())},
 		}
-		if _, err := Simulate(g, base); err != nil {
+		if _, err := NewSim().Simulate(g, base); err != nil {
 			return false
 		}
 		f1, f2 := base[0].Finish, base[1].Finish
 		more := append(base, &Flow{ID: 3, Path: rtFull, Bytes: 5e8})
-		if _, err := Simulate(g, more); err != nil {
+		if _, err := NewSim().Simulate(g, more); err != nil {
 			return false
 		}
 		return more[0].Finish >= f1-1e-9 && more[1].Finish >= f2-1e-9
@@ -360,7 +353,7 @@ func TestEventsCountsReratedFlows(t *testing.T) {
 			{ID: 1, Path: ra, Bytes: 5e9}, {ID: 2, Path: ra, Bytes: 15e9},
 			{ID: 3, Path: c.pathB, Bytes: 7.5e9}, {ID: 4, Path: c.pathB, Bytes: 25e9},
 		}
-		res, err := Simulate(g, flows)
+		res, err := NewSim().Simulate(g, flows)
 		if err != nil {
 			t.Fatal(err)
 		}

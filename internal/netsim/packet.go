@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"mixnet/internal/eventsim"
 	"mixnet/internal/packetsim"
 	"mixnet/internal/topo"
 )
@@ -21,7 +20,7 @@ func PacketFlow(f *Flow) packetsim.Flow {
 		ID:    f.ID,
 		Path:  f.Path,
 		Bytes: int64(f.Bytes + 0.5),
-		Start: eventsim.FromSeconds(f.Start),
+		Start: packetsim.FromSeconds(f.Start),
 	}
 }
 
@@ -64,7 +63,7 @@ func (p *Packet) Makespan(g *topo.Graph, phases Phases) (float64, error) {
 		if len(fs) == 0 {
 			continue
 		}
-		var phaseMax eventsim.Time
+		var phaseMax packetsim.Time
 		for _, shard := range p.part.PartitionGraph(g, fs) {
 			if cap(p.buf) < len(shard) {
 				p.buf = make([]packetsim.Flow, len(shard))

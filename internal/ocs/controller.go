@@ -60,31 +60,6 @@ func GreedyAllocate(d *metrics.Matrix, avail []int, strictBreak bool) [][]int {
 	return counts
 }
 
-// RoundRobinAllocate ignores demand and spreads circuits uniformly — the
-// baseline for the greedy-vs-uniform ablation.
-func RoundRobinAllocate(n int, avail []int) [][]int {
-	counts := make([][]int, n)
-	for i := range counts {
-		counts[i] = make([]int, n)
-	}
-	left := append([]int(nil), avail...)
-	for k := 1; k <= n/2; k++ {
-		for i := 0; i < n; i++ {
-			j := (i + k) % n
-			if j == i || (2*k == n && i >= n/2) {
-				continue
-			}
-			if left[i] > 0 && left[j] > 0 {
-				counts[i][j]++
-				counts[j][i]++
-				left[i]--
-				left[j]--
-			}
-		}
-	}
-	return counts
-}
-
 // NICMapping implements Algorithm 1 steps 4: translate circuit counts into
 // concrete NIC pairs, permuting multi-link pairs across NUMA nodes so that
 // parallel circuits between two servers terminate on different NUMA hubs

@@ -157,19 +157,6 @@ func TestGreedyZeroDemand(t *testing.T) {
 	}
 }
 
-func TestRoundRobinAllocateUniform(t *testing.T) {
-	counts := RoundRobinAllocate(8, []int{6, 6, 6, 6, 6, 6, 6, 6})
-	for i := 0; i < 8; i++ {
-		tot := 0
-		for j := 0; j < 8; j++ {
-			tot += counts[i][j]
-		}
-		if tot != 6 {
-			t.Errorf("server %d degree %d, want 6", i, tot)
-		}
-	}
-}
-
 // Property: greedy never exceeds per-server budgets and is symmetric.
 func TestPropertyGreedyBudget(t *testing.T) {
 	f := func(seed int64) bool {

@@ -3,7 +3,6 @@ package packetsim
 import (
 	"testing"
 
-	"mixnet/internal/eventsim"
 	"mixnet/internal/topo"
 )
 
@@ -41,7 +40,7 @@ func incastFlows(t *testing.T, n, nShort int) (*topo.Graph, []*Flow) {
 	sw := g.AddNode(topo.KindTor, "", -1, -1, -1)
 	g.AddDuplex(sw, dst, 8e9, 1e-6) // 1 GB/s hot port
 	var flows []*Flow
-	add := func(id int, bytes int64, start eventsim.Time) {
+	add := func(id int, bytes int64, start Time) {
 		src := g.AddNode(topo.KindNIC, "", -1, -1, -1)
 		g.AddDuplex(src, sw, 8e9, 1e-6)
 		rt, err := topo.NewBFSRouter(g).Route(src, dst, uint64(id))
@@ -54,21 +53,20 @@ func incastFlows(t *testing.T, n, nShort int) (*topo.Graph, []*Flow) {
 		add(i, 8<<20, 0)
 	}
 	for i := 0; i < nShort; i++ {
-		add(n+i, 64<<10, eventsim.FromSeconds(2e-3))
+		add(n+i, 64<<10, FromSeconds(2e-3))
 	}
 	return g, flows
 }
 
 // TestCCDeterministicAcrossRuns: every congestion controller must produce
 // byte-identical makespans and per-flow finishes across repeated
-// Sim.Simulate calls on a reused Sim, and match a fresh package-level
-// Simulate.
+// Sim.Simulate calls on a reused Sim, and match a fresh Sim.
 func TestCCDeterministicAcrossRuns(t *testing.T) {
 	for _, cc := range CCNames() {
 		t.Run(cc, func(t *testing.T) {
 			cfg := Config{CC: cc}
 			g, fresh := incastFlows(t, 5, 3)
-			want, err := Simulate(g, fresh, cfg)
+			want, err := NewSim().Simulate(g, fresh, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +104,7 @@ func TestCCDeterministicOnReusedFlows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			firstFinish := make([]eventsim.Time, len(flows))
+			firstFinish := make([]Time, len(flows))
 			for i, f := range flows {
 				firstFinish[i] = f.Finish
 			}
@@ -131,7 +129,7 @@ func TestCCDeterministicOnReusedFlows(t *testing.T) {
 // TestDCQCNMarksUnderIncast: sustained incast must trip ECN marking.
 func TestDCQCNMarksUnderIncast(t *testing.T) {
 	g, flows := incastFlows(t, 5, 0)
-	res, err := Simulate(g, flows, Config{CC: CCDCQCN})
+	res, err := NewSim().Simulate(g, flows, Config{CC: CCDCQCN})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestDCQCNMarksUnderIncast(t *testing.T) {
 	}
 	// The fixed baseline never marks.
 	g2, flows2 := incastFlows(t, 5, 0)
-	res2, err := Simulate(g2, flows2, Config{CC: CCFixed})
+	res2, err := NewSim().Simulate(g2, flows2, Config{CC: CCFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +155,7 @@ func TestDCQCNMarksUnderIncast(t *testing.T) {
 func TestAdaptiveCCShortFlowLatency(t *testing.T) {
 	shortFCT := func(cc string) float64 {
 		g, flows := incastFlows(t, 5, 1)
-		if _, err := Simulate(g, flows, Config{CC: cc}); err != nil {
+		if _, err := NewSim().Simulate(g, flows, Config{CC: cc}); err != nil {
 			t.Fatal(err)
 		}
 		short := flows[len(flows)-1]
@@ -177,7 +175,7 @@ func TestAdaptiveCCShortFlowLatency(t *testing.T) {
 func TestAdaptiveCCWorkConserving(t *testing.T) {
 	makespan := func(cc string) float64 {
 		g, flows := incastFlows(t, 5, 0)
-		res, err := Simulate(g, flows, Config{CC: cc})
+		res, err := NewSim().Simulate(g, flows, Config{CC: cc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,9 +191,10 @@ func TestAdaptiveCCWorkConserving(t *testing.T) {
 }
 
 // TestCCSteadyStateAllocsStable extends the alloc guards to the congestion
-// controllers: per-flow CC state lives inside the caller's Flows, so a
-// reused Sim's per-run allocations (event closures) must not grow run over
-// run for any controller.
+// controllers: events are values in the Sim's queue and per-flow CC state
+// lives inside the caller's Flows, so once the queue and busy array have
+// grown a reused Sim allocates at most once per Simulate call (the
+// controller's interface value) for every controller.
 func TestCCSteadyStateAllocsStable(t *testing.T) {
 	for _, cc := range CCNames() {
 		t.Run(cc, func(t *testing.T) {
@@ -208,10 +207,8 @@ func TestCCSteadyStateAllocsStable(t *testing.T) {
 				}
 			}
 			run() // warm-up: grow the event queue and busy array
-			first := testing.AllocsPerRun(5, run)
-			second := testing.AllocsPerRun(5, run)
-			if second > first {
-				t.Errorf("allocs grew run over run: %v -> %v", first, second)
+			if got := testing.AllocsPerRun(5, run); got > 1 {
+				t.Errorf("warm Simulate allocates %v times per call, want at most 1", got)
 			}
 		})
 	}
@@ -239,7 +236,7 @@ func TestECNThresholdScalesWithLinkSpeed(t *testing.T) {
 	}
 	marks := func(refBps float64) int64 {
 		g, flows := build()
-		res, err := Simulate(g, flows, Config{CC: CCDCQCN, ECNRefBps: refBps})
+		res, err := NewSim().Simulate(g, flows, Config{CC: CCDCQCN, ECNRefBps: refBps})
 		if err != nil {
 			t.Fatal(err)
 		}

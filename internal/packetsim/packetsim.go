@@ -4,7 +4,10 @@
 // an output queue, and sources are paced by a pluggable congestion
 // controller reacting to per-hop queue depth (see CongestionControl: the
 // deterministic fixed window, a DCQCN-style ECN controller, and a
-// Swift-style delay controller).
+// Swift-style delay controller). Its four events (flow start, hop arrival,
+// delivery, acknowledgement) are plain values in a binary heap the Sim
+// owns, fired in order of virtual time and then of scheduling, so
+// same-instant events fire FIFO and runs are deterministic.
 //
 // It is the high-fidelity substrate; internal/flowsim approximates it at
 // fluid granularity and is cross-validated against it (see crosscheck
@@ -15,7 +18,6 @@ package packetsim
 import (
 	"fmt"
 
-	"mixnet/internal/eventsim"
 	"mixnet/internal/topo"
 )
 
@@ -69,15 +71,15 @@ type Flow struct {
 	ID    int
 	Path  topo.Route
 	Bytes int64
-	Start eventsim.Time
+	Start Time
 
 	// Finish is written by Simulate: virtual time of last byte delivery.
-	Finish eventsim.Time
+	Finish Time
 
 	totalPkts int64
 	nextSeq   int64
 	delivered int64
-	ackLat    eventsim.Time
+	ackLat    Time
 
 	// congestion-control state, reset by every Simulate call.
 	cwnd      float64 // current window in packets
@@ -91,7 +93,7 @@ type Flow struct {
 
 // Result summarises a Simulate run.
 type Result struct {
-	Makespan eventsim.Time
+	Makespan Time
 	Packets  int64
 	Events   uint64
 	// Marks counts ECN-marked packets (always 0 unless the controller
@@ -99,11 +101,21 @@ type Result struct {
 	Marks int64
 }
 
-type sim struct {
+// Sim is a reusable packet-level engine. It owns the event queue and the
+// per-link busy array and keeps both across Simulate calls, so once they
+// have grown, repeated invocations over the same graph (e.g. the netsim
+// packet backend running one collective phase after another) allocate
+// only the congestion controller's interface value. Per-flow congestion
+// state lives inside the caller's Flows, so no controller state survives a
+// call. A Sim must not be used from multiple goroutines concurrently.
+type Sim struct {
+	q    queue
+	busy []Time // per link storage slot: transmitter free-up time
+
+	// Per-call state, set by Simulate.
 	g        *topo.Graph
 	cfg      Config
-	es       *eventsim.Simulator
-	busy     []eventsim.Time // per link storage slot: transmitter free-up time
+	flows    []*Flow
 	cc       CongestionControl
 	adaptive bool    // controller reacts to acks: always schedule them
 	marking  bool    // links ECN-mark over-threshold packets
@@ -112,59 +124,35 @@ type sim struct {
 	marks    int64
 }
 
-// Sim is a reusable packet-level engine: it keeps the event queue's backing
-// storage and the per-link busy array alive across Simulate calls, so
-// repeated invocations over the same graph (e.g. the netsim packet backend
-// running one collective phase after another) skip the per-call setup
-// allocations instead of rebuilding them from scratch. Per-flow congestion
-// state lives inside the caller's Flows, so no controller state survives a
-// call either. A Sim must not be used from multiple goroutines
-// concurrently.
-type Sim struct {
-	es   *eventsim.Simulator
-	busy []eventsim.Time
-}
-
 // NewSim returns an empty reusable packet simulator.
-func NewSim() *Sim { return &Sim{es: eventsim.New()} }
+func NewSim() *Sim { return &Sim{} }
 
-// Simulate runs one packet-level simulation reusing the Sim's buffers.
-func (ps *Sim) Simulate(g *topo.Graph, flows []*Flow, cfg Config) (Result, error) {
+// Simulate runs the packet-level simulation of flows over g to completion,
+// fills in per-flow Finish times and reuses the Sim's buffers.
+func (s *Sim) Simulate(g *topo.Graph, flows []*Flow, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cap(ps.busy) < len(g.Links) {
-		ps.busy = make([]eventsim.Time, len(g.Links))
-	}
-	busy := ps.busy[:len(g.Links)]
-	clear(busy)
-	ps.es.Reset()
-	s := &sim{g: g, cfg: cfg, es: ps.es, busy: busy}
-	return s.run(flows)
-}
-
-// Simulate runs the packet-level simulation to completion and fills in
-// per-flow Finish times.
-func Simulate(g *topo.Graph, flows []*Flow, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	s := &sim{g: g, cfg: cfg, es: eventsim.New(), busy: make([]eventsim.Time, len(g.Links))}
-	return s.run(flows)
-}
-
-func (s *sim) run(flows []*Flow) (Result, error) {
-	cc, err := NewCC(s.cfg)
+	cc, err := NewCC(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	s.cc = cc
-	s.adaptive = s.cfg.CC != CCFixed
-	s.marking = s.cfg.CC == CCDCQCN
+	if cap(s.busy) < len(g.Links) {
+		s.busy = make([]Time, len(g.Links))
+	}
+	s.busy = s.busy[:len(g.Links)]
+	clear(s.busy)
+	s.q.reset()
+	s.g, s.cfg, s.flows, s.cc = g, cfg, flows, cc
+	s.adaptive = cfg.CC != CCFixed
+	s.marking = cfg.CC == CCDCQCN
+	s.ecnDelay, s.total, s.marks = 0, 0, 0
 	if s.marking {
 		// Per-link thresholds scaled to speed class collapse to one uniform
 		// queueing-delay threshold: ECNThresholdPkts full-MTU serialisation
 		// times at the reference speed.
-		ref := s.cfg.ECNRefBps
+		ref := cfg.ECNRefBps
 		if ref <= 0 {
-			for i := range s.g.Links {
-				l := &s.g.Links[i]
+			for i := range g.Links {
+				l := &g.Links[i]
 				if l.Detached {
 					// Frozen sim fields of torn-down circuits must not set
 					// the live fabric's ECN reference speed.
@@ -176,7 +164,7 @@ func (s *sim) run(flows []*Flow) (Result, error) {
 			}
 		}
 		if ref > 0 {
-			s.ecnDelay = float64(s.cfg.ECNThresholdPkts) * float64(s.cfg.MTU*8) / ref
+			s.ecnDelay = float64(cfg.ECNThresholdPkts) * float64(cfg.MTU*8) / ref
 		}
 	}
 	for _, f := range flows {
@@ -185,33 +173,26 @@ func (s *sim) run(flows []*Flow) (Result, error) {
 		}
 		base := 0.0
 		for _, lid := range f.Path {
-			l := s.g.Link(lid)
+			l := g.Link(lid)
 			if !l.Up {
 				return Result{}, fmt.Errorf("packetsim: flow %d uses down link %d", f.ID, lid)
 			}
 			if l.Bps <= 0 {
 				return Result{}, fmt.Errorf("packetsim: flow %d uses zero-capacity link %d", f.ID, lid)
 			}
-			base += float64(s.cfg.MTU*8)/l.Bps + l.Latency
+			base += float64(cfg.MTU*8)/l.Bps + l.Latency
 		}
-		f.totalPkts = (f.Bytes + s.cfg.MTU - 1) / s.cfg.MTU
+		f.totalPkts = (f.Bytes + cfg.MTU - 1) / cfg.MTU
 		f.nextSeq, f.delivered = 0, 0
 		f.Finish = 0
-		f.ackLat = eventsim.FromSeconds(topo.PathLatency(s.g, f.Path))
+		f.ackLat = FromSeconds(topo.PathLatency(g, f.Path))
 		f.cwnd, f.inflight, f.ccAlpha = 0, 0, 0
 		f.ccWndSeq, f.ccAcked, f.ccMarked = 0, 0, 0
 		f.baseDelay = base
 		s.total += f.totalPkts
 	}
-	for _, f := range flows {
-		f := f
-		s.es.ScheduleAt(f.Start, func() { s.startFlow(f) })
-	}
-	makespan := s.es.Run()
-	var res Result
-	res.Events = s.es.Steps()
-	res.Packets = s.total
-	res.Marks = s.marks
+	s.run()
+	res := Result{Packets: s.total, Events: s.q.n, Marks: s.marks}
 	for _, f := range flows {
 		if f.totalPkts == 0 && f.Finish == 0 {
 			f.Finish = f.Start + f.ackLat
@@ -220,31 +201,58 @@ func (s *sim) run(flows []*Flow) (Result, error) {
 			res.Makespan = f.Finish
 		}
 	}
-	_ = makespan
 	return res, nil
 }
 
-func (s *sim) startFlow(f *Flow) {
+// run schedules every flow's start, in flow order, and dispatches events
+// until the queue drains.
+//
+//mixnet:noalloc
+func (s *Sim) run() {
+	for i, f := range s.flows {
+		s.q.push(event{at: f.Start, kind: evStart, flow: int32(i)})
+	}
+	for len(s.q.h) > 0 {
+		ev := s.q.pop()
+		switch ev.kind {
+		case evStart:
+			s.startFlow(ev.flow)
+		case evHop:
+			s.forward(ev)
+		case evDeliver:
+			s.deliver(ev)
+		case evAck:
+			s.ack(ev)
+		}
+	}
+}
+
+func (s *Sim) startFlow(fi int32) {
+	f := s.flows[fi]
 	if f.totalPkts == 0 || len(f.Path) == 0 {
-		f.Finish = s.es.Now() + f.ackLat
+		f.Finish = s.q.now + f.ackLat
 		if f.totalPkts > 0 {
 			f.delivered = f.totalPkts
 		}
 		return
 	}
 	f.cwnd = s.cc.Init(f)
-	s.fillWindow(f)
+	s.fillWindow(fi)
 }
 
 // fillWindow releases packets until the flow's window is full or its bytes
-// are exhausted.
-func (s *sim) fillWindow(f *Flow) {
+// are exhausted. Each release is serialised onto the first hop at once.
+func (s *Sim) fillWindow(fi int32) {
+	f := s.flows[fi]
 	allow := int64(f.cwnd)
 	if allow < 1 {
 		allow = 1
 	}
 	for f.inflight < allow && f.nextSeq < f.totalPkts {
-		s.sendNext(f)
+		seq := f.nextSeq
+		f.nextSeq++
+		f.inflight++
+		s.forward(event{flow: fi, pkt: seq, sent: s.q.now})
 	}
 }
 
@@ -259,40 +267,33 @@ func (f *Flow) pktSize(seq int64, mtu int64) int64 {
 	return mtu
 }
 
-func (s *sim) sendNext(f *Flow) {
-	seq := f.nextSeq
-	f.nextSeq++
-	f.inflight++
-	s.forward(f, seq, 0, s.es.Now(), s.es.Now(), false)
-}
-
-// forward models packet (f, seq) arriving at hop index hop at time t and
-// being serialised onto that link. sent is the packet's release time at the
-// source; marked accumulates the ECN congestion-experienced bit across
-// hops: a link marks when the packet finds more than the marking threshold
-// of queueing ahead of it (busy[lid] - now).
-func (s *sim) forward(f *Flow, seq int64, hop int, t eventsim.Time, sent eventsim.Time, marked bool) {
-	lid := f.Path[hop]
-	li := s.g.LinkIndex(lid)
+// forward models packet ev.pkt of flow ev.flow arriving at hop ev.hop now
+// and being serialised onto that link, then schedules its arrival at the
+// next hop or its delivery. ev.marked accumulates the ECN
+// congestion-experienced bit across hops: a link marks when the packet
+// finds more than the marking threshold of queueing ahead of it
+// (busy[lid] - now).
+func (s *Sim) forward(ev event) {
+	f := s.flows[ev.flow]
+	li := s.g.LinkIndex(f.Path[ev.hop])
 	l := &s.g.Links[li]
-	size := f.pktSize(seq, s.cfg.MTU)
-	txTime := eventsim.FromSeconds(float64(size*8) / l.Bps)
-	depart := t
-	if s.busy[li] > depart {
-		depart = s.busy[li]
-	}
-	if s.marking && !marked && (depart-t).Seconds() > s.ecnDelay {
-		marked = true
+	size := f.pktSize(ev.pkt, s.cfg.MTU)
+	txTime := FromSeconds(float64(size*8) / l.Bps)
+	t := s.q.now
+	depart := max(t, s.busy[li])
+	if s.marking && !ev.marked && (depart-t).Seconds() > s.ecnDelay {
+		ev.marked = true
 		s.marks++
 	}
 	done := depart + txTime
 	s.busy[li] = done
-	arrive := done + eventsim.FromSeconds(l.Latency)
-	if hop+1 < len(f.Path) {
-		s.es.ScheduleAt(arrive, func() { s.forward(f, seq, hop+1, s.es.Now(), sent, marked) })
-		return
+	ev.at = done + FromSeconds(l.Latency)
+	ev.kind = evDeliver
+	if int(ev.hop)+1 < len(f.Path) {
+		ev.kind = evHop
+		ev.hop++
 	}
-	s.es.ScheduleAt(arrive, func() { s.deliver(f, seq, sent, marked) })
+	s.q.push(ev)
 }
 
 // deliver models the last byte of a packet reaching the destination. The
@@ -300,34 +301,28 @@ func (s *sim) forward(f *Flow, seq int64, hop int, t eventsim.Time, sent eventsi
 // path's propagation delay; for the fixed controller ack events are elided
 // when they can no longer release a packet, preserving the historical event
 // schedule byte-for-byte.
-func (s *sim) deliver(f *Flow, seq int64, sent eventsim.Time, marked bool) {
+func (s *Sim) deliver(ev event) {
+	f := s.flows[ev.flow]
 	f.delivered++
 	if f.delivered == f.totalPkts {
-		f.Finish = s.es.Now()
+		f.Finish = s.q.now
 		return
 	}
 	if s.adaptive || f.nextSeq < f.totalPkts {
-		delay := (s.es.Now() - sent).Seconds()
-		s.es.Schedule(f.ackLat, func() { s.ack(f, seq, marked, delay) })
+		s.q.push(event{
+			at: s.q.now + f.ackLat, kind: evAck, flow: ev.flow, pkt: ev.pkt,
+			marked: ev.marked, delay: (s.q.now - ev.sent).Seconds(),
+		})
 	}
 }
 
 // ack applies one acknowledgement at the source: the controller digests the
 // congestion signals and the freed window slots release further packets.
-func (s *sim) ack(f *Flow, seq int64, marked bool, delay float64) {
+func (s *Sim) ack(ev event) {
+	f := s.flows[ev.flow]
 	if f.inflight > 0 {
 		f.inflight--
 	}
-	f.cwnd = s.cc.OnAck(f, seq, marked, delay)
-	s.fillWindow(f)
-}
-
-// Makespan runs Simulate and returns only the makespan in seconds.
-// It panics on configuration errors.
-func Makespan(g *topo.Graph, flows []*Flow, cfg Config) float64 {
-	res, err := Simulate(g, flows, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res.Makespan.Seconds()
+	f.cwnd = s.cc.OnAck(f, ev.pkt, ev.marked, ev.delay)
+	s.fillWindow(ev.flow)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mixnet/internal/eventsim"
 	"mixnet/internal/flowsim"
 	"mixnet/internal/topo"
 )
@@ -35,12 +34,12 @@ func route(t *testing.T, g *topo.Graph, src, dst topo.NodeID) topo.Route {
 func TestSinglePacket(t *testing.T) {
 	g, nodes := chain(8e9, 1) // 1 GB/s
 	f := &Flow{ID: 1, Path: route(t, g, nodes[0], nodes[1]), Bytes: 4096}
-	res, err := Simulate(g, []*Flow{f}, Config{})
+	res, err := NewSim().Simulate(g, []*Flow{f}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 4096B at 1GB/s = 4.096us tx + 1us latency.
-	want := eventsim.FromSeconds(4096/1e9 + 1e-6)
+	want := FromSeconds(4096/1e9 + 1e-6)
 	if diff := f.Finish - want; diff < -10 || diff > 10 {
 		t.Errorf("Finish = %v, want ~%v", f.Finish, want)
 	}
@@ -52,7 +51,7 @@ func TestSinglePacket(t *testing.T) {
 func TestSingleFlowThroughput(t *testing.T) {
 	g, nodes := chain(8e9, 1)
 	f := &Flow{ID: 1, Path: route(t, g, nodes[0], nodes[1]), Bytes: 100 << 20} // 100 MiB
-	if _, err := Simulate(g, []*Flow{f}, Config{}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f}, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	ideal := float64(100<<20) / 1e9
@@ -66,7 +65,7 @@ func TestShortPacketTail(t *testing.T) {
 	g, nodes := chain(8e9, 1)
 	// 5000 bytes = one full MTU + 904-byte tail.
 	f := &Flow{ID: 1, Path: route(t, g, nodes[0], nodes[1]), Bytes: 5000}
-	res, err := Simulate(g, []*Flow{f}, Config{})
+	res, err := NewSim().Simulate(g, []*Flow{f}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestTwoFlowsFairShare(t *testing.T) {
 	rt := route(t, g, nodes[0], nodes[1])
 	f1 := &Flow{ID: 1, Path: rt, Bytes: 50 << 20}
 	f2 := &Flow{ID: 2, Path: rt, Bytes: 50 << 20}
-	if _, err := Simulate(g, []*Flow{f1, f2}, Config{}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f1, f2}, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	// Both should finish near 100MiB/1GBps.
@@ -99,10 +98,10 @@ func TestTwoFlowsFairShare(t *testing.T) {
 func TestZeroByteFlow(t *testing.T) {
 	g, nodes := chain(8e9, 2)
 	f := &Flow{ID: 1, Path: route(t, g, nodes[0], nodes[2]), Bytes: 0, Start: 100}
-	if _, err := Simulate(g, []*Flow{f}, Config{}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f}, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	want := eventsim.Time(100) + eventsim.FromSeconds(2e-6)
+	want := Time(100) + FromSeconds(2e-6)
 	if f.Finish != want {
 		t.Errorf("Finish = %v, want %v", f.Finish, want)
 	}
@@ -112,7 +111,7 @@ func TestDownLinkErrors(t *testing.T) {
 	g, nodes := chain(8e9, 1)
 	rt := route(t, g, nodes[0], nodes[1])
 	g.SetLinkUp(rt[0], false)
-	if _, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1}}, Config{}); err == nil {
+	if _, err := NewSim().Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: 1}}, Config{}); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -120,7 +119,7 @@ func TestDownLinkErrors(t *testing.T) {
 func TestNegativeBytesErrors(t *testing.T) {
 	g, nodes := chain(8e9, 1)
 	rt := route(t, g, nodes[0], nodes[1])
-	if _, err := Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: -1}}, Config{}); err == nil {
+	if _, err := NewSim().Simulate(g, []*Flow{{ID: 1, Path: rt, Bytes: -1}}, Config{}); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -128,9 +127,9 @@ func TestNegativeBytesErrors(t *testing.T) {
 func TestDelayedStart(t *testing.T) {
 	g, nodes := chain(8e9, 1)
 	rt := route(t, g, nodes[0], nodes[1])
-	start := eventsim.FromSeconds(0.01)
+	start := FromSeconds(0.01)
 	f := &Flow{ID: 1, Path: rt, Bytes: 1 << 20, Start: start}
-	if _, err := Simulate(g, []*Flow{f}, Config{}); err != nil {
+	if _, err := NewSim().Simulate(g, []*Flow{f}, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if f.Finish <= start {
@@ -184,8 +183,15 @@ func TestCrossCheckAgainstFlowsim(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			g, nodes := chain(8e9, sc.hops)
 			pf, ff := sc.flows(g, nodes, t)
-			pm := Makespan(g, pf, Config{})
-			fm := flowsim.Makespan(g, ff)
+			pr, err := NewSim().Simulate(g, pf, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := flowsim.NewSim().Simulate(g, ff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm, fm := pr.Makespan.Seconds(), fr.Makespan
 			if rel := math.Abs(pm-fm) / fm; rel > 0.08 {
 				t.Errorf("packet %v vs fluid %v: %.1f%% apart", pm, fm, rel*100)
 			}
@@ -203,7 +209,11 @@ func TestPropertyLinearScaling(t *testing.T) {
 		for i := 0; i < n; i++ {
 			flows = append(flows, &Flow{ID: i, Path: rt, Bytes: 8 << 20})
 		}
-		got := Makespan(g, flows, Config{})
+		res, err := NewSim().Simulate(g, flows, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Makespan.Seconds()
 		want := float64(n) * float64(8<<20) / 1e9
 		if math.Abs(got-want)/want > 0.05 {
 			t.Errorf("n=%d makespan %v, want ~%v", n, got, want)
@@ -231,7 +241,7 @@ func TestPropertyNoSuperluminalFlows(t *testing.T) {
 			}
 			flows = append(flows, &Flow{ID: i, Path: rt, Bytes: int64(rng.Intn(1 << 22))})
 		}
-		if _, err := Simulate(g, flows, Config{}); err != nil {
+		if _, err := NewSim().Simulate(g, flows, Config{}); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range flows {
@@ -244,8 +254,8 @@ func TestPropertyNoSuperluminalFlows(t *testing.T) {
 }
 
 func TestReusableSimMatchesSimulate(t *testing.T) {
-	// A reused Sim must produce byte-identical results to fresh package-level
-	// Simulate calls, across repeated runs and graphs of different sizes.
+	// A reused Sim must produce byte-identical results to a fresh Sim, across
+	// repeated runs and graphs of different sizes.
 	g1, nodes1 := chain(8e9, 3)
 	g2, nodes2 := chain(4e9, 5)
 	s := NewSim()
@@ -261,7 +271,7 @@ func TestReusableSimMatchesSimulate(t *testing.T) {
 				}
 			}
 			fresh := mk()
-			want, err := Simulate(tc.g, fresh, Config{})
+			want, err := NewSim().Simulate(tc.g, fresh, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +280,7 @@ func TestReusableSimMatchesSimulate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Makespan != want.Makespan || got.Packets != want.Packets {
+			if got != want {
 				t.Errorf("run %d: reused Sim %+v, fresh %+v", run, got, want)
 			}
 			for i := range fresh {

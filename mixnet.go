@@ -21,6 +21,7 @@ package mixnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mixnet/internal/cost"
@@ -166,14 +167,18 @@ func SimCongestionControls() []string { return packetsim.CCNames() }
 // "none", "layer", "iter".
 func SimOverlapModes() []string { return trainsim.OverlapModes() }
 
-// ListModels returns the model registry names in sorted order.
+// ListModels returns, in sorted order, the registry names Simulate
+// accepts: the models that have a training plan.
 func ListModels() []string {
 	var out []string
 	for name := range moe.Models() {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
+	return slices.DeleteFunc(out, func(name string) bool {
+		_, _, err := moe.PlanFor(name, 0)
+		return err != nil
+	})
 }
 
 // ExperimentIDs lists the reproducible tables/figures in paper order.

@@ -3,12 +3,18 @@ package mixnet
 import (
 	"strings"
 	"testing"
+
+	"mixnet/internal/moe"
 )
 
+// TestListModels: every listed name resolves to a model and a training
+// plan, so Simulate accepts it.
 func TestListModels(t *testing.T) {
 	models := ListModels()
-	if len(models) != 6 {
-		t.Fatalf("models = %d, want 6", len(models))
+	for _, m := range models {
+		if _, _, err := moe.PlanFor(m, 0); err != nil {
+			t.Errorf("listed model %q does not resolve: %v", m, err)
+		}
 	}
 	found := false
 	for _, m := range models {
