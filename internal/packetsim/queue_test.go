@@ -37,6 +37,52 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestScheduleOrdering: events pushed out of time order pop in time order,
+// and the clock ends at the last one.
+func TestScheduleOrdering(t *testing.T) {
+	var q queue
+	for _, at := range []Time{30, 10, 20} {
+		q.push(event{at: at, pkt: int64(at / 10)})
+	}
+	got := drain(&q)
+	if len(got) != 3 || got[0].pkt != 1 || got[1].pkt != 2 || got[2].pkt != 3 {
+		t.Errorf("popped %+v, want pkt 1, 2, 3", got)
+	}
+	if q.now != 30 {
+		t.Errorf("now = %d, want 30", q.now)
+	}
+}
+
+// TestNestedScheduling: an event pushed a delay after the clock while the
+// queue drains, as packetsim's handlers push the next hop or the ack, fires
+// at that later time.
+func TestNestedScheduling(t *testing.T) {
+	var q queue
+	q.push(event{at: 10, kind: evStart})
+	var fired []Time
+	for len(q.h) > 0 {
+		if ev := q.pop(); ev.kind == evStart {
+			q.push(event{at: q.now + 5, kind: evAck})
+		}
+		fired = append(fired, q.now)
+	}
+	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
+		t.Errorf("fired at %v, want [10 15]", fired)
+	}
+}
+
+// TestNegativeDelayClamped: an event pushed a negative delay after the
+// clock fires now, not in the past.
+func TestNegativeDelayClamped(t *testing.T) {
+	var q queue
+	q.push(event{at: 100})
+	q.pop()
+	q.push(event{at: q.now - 50, pkt: 1})
+	if ev := q.pop(); ev.pkt != 1 || ev.at != 100 || q.now != 100 {
+		t.Errorf("negative delay popped pkt %d at %d, now %d; want pkt 1 at 100", ev.pkt, ev.at, q.now)
+	}
+}
+
 // TestScheduleAtPastClamped: an event pushed for a time before the clock
 // fires now, after the events already queued for this instant.
 func TestScheduleAtPastClamped(t *testing.T) {
@@ -85,6 +131,36 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: draining the queue leaves the clock at the latest time pushed.
+func TestPropertyFinalClock(t *testing.T) {
+	f := func(times []uint32) bool {
+		var q queue
+		var latest Time
+		for _, raw := range times {
+			at := Time(raw % 1_000_000)
+			latest = max(latest, at)
+			q.push(event{at: at})
+		}
+		drain(&q)
+		return q.now == latest
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStepsCounter: every pop is counted.
+func TestStepsCounter(t *testing.T) {
+	var q queue
+	for i := 0; i < 7; i++ {
+		q.push(event{at: Time(i)})
+	}
+	drain(&q)
+	if q.n != 7 {
+		t.Errorf("popped %d events, want 7", q.n)
 	}
 }
 
