@@ -1,8 +1,7 @@
 // mixnet-serve is the long-running what-if query service: it answers
-// iteration-time, network-cost and failure-drill queries over HTTP/JSON,
-// reusing warm engines (with their cached routes) across queries and
-// replaying identical queries from a result cache, so repeat questions
-// about a configuration shape skip the topology build.
+// iteration-time, network-cost and failure-drill queries over HTTP/JSON
+// through the same calls the batch CLIs make, one fresh engine per answer,
+// and replays fully identical queries from a result cache.
 //
 // Usage:
 //
@@ -37,8 +36,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8077", "listen address")
 		workers  = flag.Int("workers", 8, "max concurrently executing queries")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query execution timeout")
-		maxIdle  = flag.Int("pool-idle", 8, "max idle warm engines kept per configuration shape")
-		maxUses  = flag.Int("pool-uses", 1024, "leases before a pooled engine is retired (bounds a MixNet engine's growing link table)")
 		selftest = flag.Bool("selftest", false, "run the validation + load driver instead of serving")
 		benchOut = flag.String("bench-out", "BENCH_serve.json", "selftest report path")
 		window   = flag.Duration("window", time.Second, "selftest throughput window per client count")
@@ -61,11 +58,7 @@ func main() {
 		return
 	}
 
-	srv := serve.New(serve.Options{
-		Pool:    serve.NewPool(*maxIdle, *maxUses, 0),
-		Workers: *workers,
-		Timeout: *timeout,
-	})
+	srv := serve.New(serve.Options{Workers: *workers, Timeout: *timeout})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	sigs := make(chan os.Signal, 1)

@@ -68,9 +68,9 @@ func NewCtx(c *topo.Cluster) *Ctx {
 
 // ResetRunState rewinds the context's per-run compilation state — flow ID
 // counter and per-pair ECMP salt rotation — to the freshly built position,
-// so a reused engine replays a run byte-identically to a fresh one. Cached
-// routes survive: they are exactly the cross-run reuse a warm engine exists
-// for.
+// so a recompile on the same context is byte-identical to the first one
+// (mixnet-bench -scale large times such a warm recompile). Cached routes
+// survive.
 func (ctx *Ctx) ResetRunState() {
 	ctx.nextID = 0
 	clear(ctx.saltOf)

@@ -114,17 +114,23 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // uniform distribution. The result is a new slice.
 func Normalize(xs []float64) []float64 {
 	out := make([]float64, len(xs))
+	copy(out, xs)
+	return NormalizeInPlace(out)
+}
+
+// NormalizeInPlace is Normalize overwriting xs, which it returns.
+func NormalizeInPlace(xs []float64) []float64 {
 	s := Sum(xs)
 	if s == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(xs))
+		for i := range xs {
+			xs[i] = 1 / float64(len(xs))
 		}
-		return out
+		return xs
 	}
 	for i, x := range xs {
-		out[i] = x / s
+		xs[i] = x / s
 	}
-	return out
+	return xs
 }
 
 // CDF is an empirical cumulative distribution function built from samples.

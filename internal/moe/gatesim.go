@@ -69,7 +69,7 @@ type GateSim struct {
 	logits []float64         // layer-0 latent expert affinities
 	trans  []*metrics.Matrix // per layer boundary: Experts x Experts column-stochastic
 	masks  [][][]bool        // per layer, per rank: expert dropped?
-	loads  [][]float64       // scratch: per-layer loads of current iteration
+	q      []float64         // scratch: one rank's dispatch shares (rankMatrix)
 }
 
 // NewGateSim builds a simulator for (m, p). It panics if the pairing is
@@ -86,26 +86,28 @@ func NewGateSim(m Model, p TrainPlan, cfg GateConfig) *GateSim {
 	// Fixed ground-truth layer transitions: column e is the routing
 	// distribution of tokens leaving expert e of layer l into layer l+1.
 	g.trans = make([]*metrics.Matrix, m.Blocks-1)
+	z := make([]float64, m.Experts)
 	for l := range g.trans {
 		t := metrics.NewMatrix(m.Experts, m.Experts)
 		for col := 0; col < m.Experts; col++ {
-			z := make([]float64, m.Experts)
 			for row := range z {
 				z[row] = g.rng.NormFloat64() * cfg.TransStd
 			}
-			pcol := softmax(z)
-			for row := 0; row < m.Experts; row++ {
-				t.Set(row, col, pcol[row])
+			for row, v := range softmax(z, z) {
+				t.Set(row, col, v)
 			}
 		}
 		g.trans[l] = t
 	}
 	// Per-(layer, rank) expert drop masks: persistent spatial sparsity.
 	g.masks = make([][][]bool, m.Blocks)
+	rows := make([][]bool, m.Blocks*p.EP)
+	cells := make([]bool, m.Blocks*p.EP*m.Experts)
 	for l := range g.masks {
-		g.masks[l] = make([][]bool, p.EP)
+		g.masks[l], rows = rows[:p.EP:p.EP], rows[p.EP:]
 		for r := range g.masks[l] {
-			mask := make([]bool, m.Experts)
+			mask := cells[:m.Experts:m.Experts]
+			cells = cells[m.Experts:]
 			for e := range mask {
 				// Never drop the experts hosted locally by this rank.
 				local := e/m.ExpertsPerRank(p) == r
@@ -114,7 +116,7 @@ func NewGateSim(m Model, p TrainPlan, cfg GateConfig) *GateSim {
 			g.masks[l][r] = mask
 		}
 	}
-	g.loads = make([][]float64, m.Blocks)
+	g.q = make([]float64, m.Experts)
 	return g
 }
 
@@ -122,8 +124,8 @@ func NewGateSim(m Model, p TrainPlan, cfg GateConfig) *GateSim {
 // and l+1, used to upper-bound predictor accuracy in tests.
 func (g *GateSim) TrueTransition(l int) *metrics.Matrix { return g.trans[l] }
 
-func softmax(z []float64) []float64 {
-	out := make([]float64, len(z))
+// softmax writes the softmax of z into out, which may be z, and returns out.
+func softmax(out, z []float64) []float64 {
 	max := math.Inf(-1)
 	for _, v := range z {
 		if v > max {
@@ -157,7 +159,9 @@ func (g *GateSim) Next() *Iteration {
 	}
 	dispatchBytes := tokens * float64(m.TopK) * m.TokenBytes()
 
-	prev := softmax(g.logits)
+	// Each layer's loads are a fresh slice the returned iteration owns;
+	// the next layer only reads them.
+	prev := softmax(make([]float64, m.Experts), g.logits)
 	for l := 0; l < m.Blocks; l++ {
 		if l > 0 {
 			// loads_l = P_{l-1} * loads_{l-1}, renormalised with noise.
@@ -170,11 +174,10 @@ func (g *GateSim) Next() *Iteration {
 				}
 				next[row] = s * math.Exp(0.1*g.rng.NormFloat64())
 			}
-			prev = metrics.Normalize(next)
+			prev = metrics.NormalizeInPlace(next)
 		}
-		g.loads[l] = prev
 		it.Layers[l] = LayerDispatch{
-			Loads:      append([]float64(nil), prev...),
+			Loads:      prev,
 			RankMatrix: g.rankMatrix(l, prev, dispatchBytes),
 		}
 	}
@@ -188,7 +191,7 @@ func (g *GateSim) rankMatrix(layer int, loads []float64, dispatchBytes float64) 
 	m, p, cfg := g.Model, g.Plan, g.Cfg
 	per := m.ExpertsPerRank(p)
 	out := metrics.NewMatrix(p.EP, p.EP)
-	q := make([]float64, m.Experts)
+	q := g.q
 	for i := 0; i < p.EP; i++ {
 		mask := g.masks[layer][i]
 		for e := 0; e < m.Experts; e++ {
@@ -198,8 +201,7 @@ func (g *GateSim) rankMatrix(layer int, loads []float64, dispatchBytes float64) 
 			}
 			q[e] = loads[e] * math.Exp(cfg.RankSkew*g.rng.NormFloat64())
 		}
-		qn := metrics.Normalize(q)
-		for e, v := range qn {
+		for e, v := range metrics.NormalizeInPlace(q) {
 			j := e / per
 			if j >= p.EP {
 				j = p.EP - 1

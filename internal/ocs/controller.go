@@ -295,10 +295,6 @@ func NewController(c *topo.Cluster, region int, dev *Device) *Controller {
 	return ct
 }
 
-// FailedServers returns how many servers are currently excluded from
-// topology generation; engine pools require zero before reusing an engine.
-func (ct *Controller) FailedServers() int { return len(ct.failed) }
-
 // SetServerFailed marks a server excluded (or restored) for future plans.
 func (ct *Controller) SetServerFailed(server int, failed bool) {
 	if failed {

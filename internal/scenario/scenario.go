@@ -117,7 +117,7 @@ func Names() []string {
 
 // WithDefaults returns the configuration with the package defaults filled
 // in — the canonical form. Exported for callers that key caches on a
-// configuration (the query service's engine pool): two configs describing
+// configuration (the query service's result cache): two configs describing
 // the same run canonicalize to the same value. Only MixNet reconfigures,
 // so on every other fabric a valid FirstA2A and ReconfigDelaySec, which
 // change nothing there, canonicalize to their defaults; invalid ones are
@@ -182,6 +182,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ConfigError marks a configuration no engine can be built from: a numeric
+// setting no run can mean (Validate), or a model, fabric, first-A2A mode,
+// backend or overlap discipline that does not resolve. Errors a run hits
+// after its engines are built are not ConfigErrors. Callers tell the two
+// apart with errors.As; the query service answers a ConfigError with 400.
+type ConfigError struct{ Err error }
+
+func (e *ConfigError) Error() string { return e.Err.Error() }
+func (e *ConfigError) Unwrap() error { return e.Err }
+
 // modelPlan resolves the model and its training plan with DP applied
 // (moe.PlanFor — the resolution every entry point shares).
 func modelPlan(cfg Config) (moe.Model, moe.TrainPlan, error) {
@@ -200,17 +210,24 @@ func buildCluster(cfg Config, plan moe.TrainPlan) (*topo.Cluster, error) {
 }
 
 // NewEngine builds the training engine a Config describes, defaults
-// applied — the single construction path shared by mixnet.Simulate and the
-// scenario runner, so the two entry points cannot drift apart on cluster
-// sizing, region spans, or OCS wiring.
+// applied — the single construction path shared by mixnet.Simulate, the
+// scenario runner and the query service, so the entry points cannot drift
+// apart on cluster sizing, region spans, or OCS wiring. A configuration no
+// engine can be built from is a *ConfigError.
 func NewEngine(cfg Config) (*trainsim.Engine, error) {
 	return newEngine(cfg.withDefaults(), nil)
 }
 
 // newEngine builds one training engine for cfg, optionally replacing the
-// synthetic gate with another iteration source.
-func newEngine(cfg Config, src trainsim.IterationSource) (*trainsim.Engine, error) {
-	if err := cfg.Validate(); err != nil {
+// synthetic gate with another iteration source. Every error it returns is a
+// *ConfigError.
+func newEngine(cfg Config, src trainsim.IterationSource) (_ *trainsim.Engine, err error) {
+	defer func() {
+		if err != nil {
+			err = &ConfigError{err}
+		}
+	}()
+	if err = cfg.Validate(); err != nil {
 		return nil, err
 	}
 	mode, err := trainsim.ParseFirstA2A(cfg.FirstA2A)
@@ -364,14 +381,11 @@ func compose(injs ...Injector) Injector {
 }
 
 // DrillInjector returns the injector the named failure drill applies to
-// its faulty engine, or ok == false when name is not a drill. Callers that
-// drill reused engines (the query service) apply it to a prepared engine
-// and invoke the returned Restore afterwards; the semantics — which
-// NIC/GPU/server fails, composition order, reverse-order unwind — are
-// exactly the ones Run uses, so results are comparable byte for byte.
+// its faulty engine, or ok == false when name is not a drill: which
+// NIC/GPU/server fails, composition order, reverse-order unwind.
 // CopilotDrill uses the same GPU fault as FailGPU; its distinguishing
-// first-A2A policy is configuration, not injection (set FirstA2A to
-// "copilot" as run does).
+// first-A2A policy is configuration, not injection (run sets FirstA2A to
+// "copilot").
 func DrillInjector(name string) (Injector, bool) {
 	switch name {
 	case FailNIC:
@@ -489,7 +503,7 @@ func runCoTenantSteal(cfg Config, name string) (Result, error) {
 // of the same configuration for the failure drills.
 func run(name string, cfg Config, base *Result) (Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, &ConfigError{err}
 	}
 	switch name {
 	case Synthetic:

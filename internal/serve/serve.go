@@ -1,3 +1,11 @@
+// Package serve is the long-running what-if query service: an HTTP/JSON
+// API answering iteration-time, network-cost and failure-drill queries
+// through the library's own calls. /v1/iter builds a fresh engine with
+// scenario.NewEngine and runs it as mixnet.Simulate does, /v1/failure calls
+// scenario.Run and /v1/cost calls mixnet.NetworkCost, so every response is
+// byte-identical to the equivalent batch run by construction. No engine
+// outlives its query. A bounded result cache replays fully identical
+// queries, and a worker semaphore bounds how many run at once.
 package serve
 
 import (
@@ -62,9 +70,8 @@ type costQuery struct {
 }
 
 // Meta carries per-query serving metadata alongside the result. Only the
-// result is deterministic; Meta is volatile (latency, cache warmth).
+// result is deterministic; Meta is volatile (latency, cache hit).
 type Meta struct {
-	Warm       bool    `json:"warm"`             // engine came from the pool
 	Cached     bool    `json:"cached,omitempty"` // result replayed from the result cache, no engine ran
 	ElapsedSec float64 `json:"elapsed_sec"`
 }
@@ -74,33 +81,36 @@ type envelope struct {
 	Meta   Meta `json:"meta"`
 }
 
+// Pool is inert: the service builds a fresh engine for every answer and
+// keeps none between queries. The type, NewPool and Options.Pool remain
+// only because perfbench, a separate module that changes only with the
+// benchmark, still passes one to New; nothing else may construct one.
+type Pool struct{}
+
+// NewPool returns an inert Pool and ignores its arguments.
+func NewPool(int, int, int) *Pool { return &Pool{} }
+
 // Options configures a Server.
 type Options struct {
-	// Pool supplies the engine pool; nil builds a default one.
+	// Pool is ignored (see Pool).
 	Pool *Pool
 	// Workers bounds concurrently executing queries (default 8; excess
 	// requests queue on the semaphore until their context expires).
 	Workers int
 	// Timeout bounds one query's execution (default 60s); a timed-out
-	// request gets 504 while the worker finishes in the background and
-	// returns its engine to the pool.
+	// request gets 504 while the worker finishes in the background.
 	Timeout time.Duration
 }
 
-// Server answers what-if queries over warm engines. Create with New,
-// expose via Handler, and Drain before process exit.
+// Server answers what-if queries. Create with New, expose via Handler, and
+// Drain before process exit.
 type Server struct {
-	pool    *Pool
 	sem     chan struct{}
 	timeout time.Duration
 	wg      sync.WaitGroup
 	start   time.Time
 
 	queries, timeouts, errors atomic.Uint64
-
-	baseMu    sync.Mutex
-	baselines map[string]*baselineCell
-	baseOrder []string // LRU order, oldest first; len == len(baselines)
 
 	resMu    sync.Mutex
 	results  map[string]json.RawMessage
@@ -109,12 +119,6 @@ type Server struct {
 	rcacheHits, rcacheMisses, rcacheEvictions atomic.Uint64
 }
 
-// baselineCap bounds the baseline cache: distinct (shape, seed,
-// iterations) clean-run measurements kept for failure drills. Like the
-// pool's idle bound, it keeps a long-running service with an open-ended
-// query mix from growing without bound.
-const baselineCap = 128
-
 // resultCap bounds the served result cache: fully identical queries replay
 // the stored result bytes instead of re-simulating. Results are
 // deterministic — the simulation's output is a pure function of the
@@ -122,21 +126,8 @@ const baselineCap = 128
 // bounds memory.
 const resultCap = 128
 
-// baselineCell memoizes one clean-run measurement (shape+seed+iterations)
-// shared by every failure drill against that configuration. Only
-// successful measurements latch; a failed one is dropped from the cache so
-// the next drill retries instead of replaying the error forever.
-type baselineCell struct {
-	mu   sync.Mutex
-	done bool
-	res  scenario.Result
-}
-
 // New creates a Server.
 func New(opts Options) *Server {
-	if opts.Pool == nil {
-		opts.Pool = NewPool(0, 0, 0)
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = 8
 	}
@@ -144,12 +135,10 @@ func New(opts Options) *Server {
 		opts.Timeout = 60 * time.Second
 	}
 	return &Server{
-		pool:      opts.Pool,
-		sem:       make(chan struct{}, opts.Workers),
-		timeout:   opts.Timeout,
-		start:     time.Now(),
-		baselines: make(map[string]*baselineCell),
-		results:   make(map[string]json.RawMessage),
+		sem:     make(chan struct{}, opts.Workers),
+		timeout: opts.Timeout,
+		start:   time.Now(),
+		results: make(map[string]json.RawMessage),
 	}
 }
 
@@ -208,15 +197,12 @@ func (s *Server) storeResult(key string, v any) any {
 	return json.RawMessage(raw)
 }
 
-// Pool returns the server's engine pool (selftest reads its counters).
-func (s *Server) Pool() *Pool { return s.pool }
-
 // Handler returns the HTTP API:
 //
 //	POST /v1/iter    — training-iteration query: QueryConfig body, mixnet.Result result
 //	POST /v1/cost    — fabric pricing: costQuery body, mixnet.CostBreakdown result
 //	POST /v1/failure — failure drill: failureQuery body, scenario.Result result
-//	GET  /v1/stats   — pool/result-cache/query counters
+//	GET  /v1/stats   — result-cache/query counters
 //	GET  /healthz    — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -252,8 +238,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Drain waits for in-flight query workers (including ones whose requester
-// already timed out) to finish and return their engines. Call after
-// http.Server.Shutdown for a graceful stop.
+// already timed out) to finish. Call after http.Server.Shutdown for a
+// graceful stop.
 func (s *Server) Drain() { s.wg.Wait() }
 
 // ResultCacheStats counts served result-cache traffic.
@@ -270,7 +256,6 @@ type StatsCounters struct {
 	Queries     uint64           `json:"queries"`
 	Timeouts    uint64           `json:"timeouts"`
 	Errors      uint64           `json:"errors"`
-	Pool        PoolStats        `json:"pool"`
 	ResultCache ResultCacheStats `json:"result_cache"`
 }
 
@@ -285,7 +270,6 @@ func (s *Server) StatsSnapshot() StatsCounters {
 		Queries:   s.queries.Load(),
 		Timeouts:  s.timeouts.Load(),
 		Errors:    s.errors.Load(),
-		Pool:      s.pool.Stats(),
 		ResultCache: ResultCacheStats{
 			Hits:      s.rcacheHits.Load(),
 			Misses:    s.rcacheMisses.Load(),
@@ -295,15 +279,16 @@ func (s *Server) StatsSnapshot() StatsCounters {
 	}
 }
 
-// clientErr marks an error as the requester's fault — a malformed or
-// invalid query — so do() reports 400 instead of 500.
+// clientErr marks an error as the requester's fault — a query naming an
+// unknown fabric or scenario, or a cost query the model cannot price — so
+// do() reports 400 instead of 500. A configuration no engine can be built
+// from arrives as a *scenario.ConfigError, which do() reports as 400 too.
 type clientErr struct{ err error }
 
 func (e clientErr) Error() string { return e.err.Error() }
 func (e clientErr) Unwrap() error { return e.err }
 
-// badQuery wraps a validation failure (unknown model/fabric/scenario,
-// engine construction rejecting the configuration) as a client error.
+// badQuery wraps a validation failure as a client error.
 func badQuery(err error) error {
 	if err == nil {
 		return nil
@@ -311,12 +296,18 @@ func badQuery(err error) error {
 	return clientErr{err}
 }
 
-// do runs one query under the bounded worker pool with the per-query
-// timeout. The worker goroutine always runs to completion — a timed-out
-// or abandoned query's engine still gets released — but its response is
-// only written while the request waits: timeout gets 504, a client that
-// disconnected gets nothing (the handler returns instead of pinning the
-// connection for the rest of the query budget).
+// isClientErr reports whether err is the requester's fault.
+func isClientErr(err error) bool {
+	var ce clientErr
+	var cfg *scenario.ConfigError
+	return errors.As(err, &ce) || errors.As(err, &cfg)
+}
+
+// do runs one query under the worker semaphore with the per-query
+// timeout. The worker goroutine always runs to completion, but its
+// response is only written while the request waits: timeout gets 504, a
+// client that disconnected gets nothing (the handler returns instead of
+// pinning the connection for the rest of the query budget).
 func (s *Server) do(w http.ResponseWriter, r *http.Request, fn func() (any, Meta, error)) {
 	select {
 	case s.sem <- struct{}{}:
@@ -347,8 +338,7 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, fn func() (any, Meta
 		if o.err != nil {
 			s.errors.Add(1)
 			status := http.StatusInternalServerError
-			var ce clientErr
-			if errors.As(o.err, &ce) {
+			if isClientErr(o.err) {
 				status = http.StatusBadRequest
 			}
 			http.Error(w, o.err.Error(), status)
@@ -360,47 +350,52 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, fn func() (any, Meta
 		http.Error(w, "query timed out", http.StatusGatewayTimeout)
 	case <-r.Context().Done():
 		// Client gone; nothing to write. The worker finishes in the
-		// background and returns its engine to the pool.
+		// background.
 	}
 }
 
-// runIter answers a training-iteration query. The result is exactly what
-// mixnet.Simulate returns for the equivalent SimConfig — same engine
-// construction, same stats derivation — so the JSON is byte-identical to
-// the batch run; only the engine may come warm from the pool.
-func (s *Server) runIter(q QueryConfig) (any, Meta, error) {
-	cfg := q.scenarioConfig().WithDefaults()
-	key := resultKey("iter", cfg)
-	if !q.NoCache && key != "" {
+// answer replays the result cached under key, or calls compute and caches
+// its result under key. A no_cache query or an empty key skips the cache
+// both ways.
+func (s *Server) answer(key string, noCache bool, compute func() (any, error)) (any, Meta, error) {
+	useCache := !noCache && key != ""
+	if useCache {
 		if raw, ok := s.cachedResult(key); ok {
 			s.rcacheHits.Add(1)
 			return raw, Meta{Cached: true}, nil
 		}
 		s.rcacheMisses.Add(1)
 	}
-	lease, err := s.pool.Acquire(cfg)
-	if err != nil {
-		// Engine construction only fails on configuration the query chose
-		// (unknown model/fabric/backend, invalid knob combination).
-		return nil, Meta{}, badQuery(err)
+	v, err := compute()
+	if err != nil || !useCache {
+		return v, Meta{}, err
 	}
-	meta := Meta{Warm: lease.Warm}
-	e := lease.Engine
-	stats, err := e.Run(cfg.Iterations)
-	res := mixnet.Result{
-		MeanIterTime: trainsim.MeanIterTime(stats),
-		Stats:        stats,
-		GPUs:         e.Cluster.GPUCount(),
-		Servers:      len(e.Cluster.Servers),
-	}
-	lease.Release(err != nil)
-	if err != nil {
-		return nil, meta, err
-	}
-	if !q.NoCache && key != "" {
-		return s.storeResult(key, res), meta, nil
-	}
-	return res, meta, nil
+	return s.storeResult(key, v), Meta{}, nil
+}
+
+// runIter answers a training-iteration query with what mixnet.Simulate
+// returns for the equivalent SimConfig: a fresh engine from
+// scenario.NewEngine, run for the query's iterations, its stats assembled
+// the same way. A configuration no engine can be built from is a 400; an
+// error during the run is a 500.
+func (s *Server) runIter(q QueryConfig) (any, Meta, error) {
+	cfg := q.scenarioConfig().WithDefaults()
+	return s.answer(resultKey("iter", cfg), q.NoCache, func() (any, error) {
+		e, err := scenario.NewEngine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		stats, err := e.Run(cfg.Iterations)
+		if err != nil {
+			return nil, err
+		}
+		return mixnet.Result{
+			MeanIterTime: trainsim.MeanIterTime(stats),
+			Stats:        stats,
+			GPUs:         e.Cluster.GPUCount(),
+			Servers:      len(e.Cluster.Servers),
+		}, nil
+	})
 }
 
 // runCost answers a fabric-pricing query (no engine involved).
@@ -416,149 +411,23 @@ func (s *Server) runCost(q costQuery) (any, Meta, error) {
 	return bd, Meta{}, nil
 }
 
-// runFailure answers a failure-drill query: the named injector faults a
-// pooled engine, the drill runs, the injection unwinds, and the release
-// path verifies full restoration (or evicts). The clean baseline of the
-// same configuration is measured once and shared across drills, mirroring
-// scenario.RunMatrix's memoized baseline; the returned scenario.Result is
-// byte-identical to scenario.Run of the same drill.
+// runFailure answers a failure-drill query with what scenario.Run returns
+// for the named drill: a clean and a faulty engine, both built fresh.
 func (s *Server) runFailure(q failureQuery) (any, Meta, error) {
-	inj, ok := scenario.DrillInjector(q.Scenario)
-	if !ok {
+	if _, ok := scenario.DrillInjector(q.Scenario); !ok {
 		return nil, Meta{}, badQuery(fmt.Errorf("serve: %q is not a failure-drill scenario", q.Scenario))
 	}
 	cfg := q.scenarioConfig()
 	if q.Scenario == scenario.CopilotDrill {
-		// Both baseline and faulty run use proactive reconfiguration, so the
-		// overhead isolates the failure, not the first-A2A policy (the same
-		// substitution scenario.Run performs).
+		// scenario.Run runs this drill under Copilot first-A2A handling;
+		// setting it here makes the cache key name the configuration that
+		// runs, so a spelled-out "copilot" shares the entry.
 		cfg.FirstA2A = "copilot"
 	}
 	cfg = cfg.WithDefaults()
-	key := resultKey("failure|"+q.Scenario, cfg)
-	if !q.NoCache && key != "" {
-		if raw, ok := s.cachedResult(key); ok {
-			s.rcacheHits.Add(1)
-			return raw, Meta{Cached: true}, nil
-		}
-		s.rcacheMisses.Add(1)
-	}
-
-	clean, meta, err := s.baseline(cfg)
-	if err != nil {
-		return nil, meta, err
-	}
-	lease, err := s.pool.Acquire(cfg)
-	if err != nil {
-		return nil, meta, badQuery(err)
-	}
-	meta.Warm = meta.Warm && lease.Warm
-	e := lease.Engine
-	restore, err := inj(e)
-	if err != nil {
-		lease.Evict() // partially applied injection: engine state unknown
-		return nil, meta, fmt.Errorf("serve: inject %s: %w", q.Scenario, err)
-	}
-	stats, runErr := e.Run(cfg.Iterations)
-	restore()
-	lease.Release(runErr != nil)
-	if runErr != nil {
-		return nil, meta, fmt.Errorf("serve: drill %s: %w", q.Scenario, runErr)
-	}
-
-	res := clean
-	res.Scenario = q.Scenario
-	res.BaselineIterTime = clean.MeanIterTime
-	res.MeanIterTime = trainsim.MeanIterTime(stats)
-	if res.BaselineIterTime > 0 {
-		res.Overhead = res.MeanIterTime/res.BaselineIterTime - 1
-	}
-	if !q.NoCache && key != "" {
-		return s.storeResult(key, res), meta, nil
-	}
-	return res, meta, nil
-}
-
-// baseline measures (or recalls) the clean run of one canonical
-// configuration. Concurrent drills against the same configuration share
-// one measurement; the engine comes from the same pool as every other
-// query. Warm in the returned Meta reflects the baseline's engine only
-// when the baseline was measured by this call. The cache is a small LRU
-// (baselineCap entries) and never memoizes failures: an errored
-// measurement is forgotten so the next drill retries it.
-func (s *Server) baseline(cfg scenario.Config) (scenario.Result, Meta, error) {
-	key := fmt.Sprintf("%s|seed=%d|iters=%d", ShapeKey(cfg), cfg.Seed, cfg.Iterations)
-	s.baseMu.Lock()
-	cell := s.baselines[key]
-	if cell == nil {
-		cell = &baselineCell{}
-		s.baselines[key] = cell
-	}
-	s.touchBaselineLocked(key)
-	s.baseMu.Unlock()
-
-	cell.mu.Lock()
-	defer cell.mu.Unlock()
-	if cell.done {
-		return cell.res, Meta{Warm: true}, nil
-	}
-	lease, err := s.pool.Acquire(cfg)
-	if err != nil {
-		s.dropBaseline(key, cell)
-		return scenario.Result{}, Meta{}, badQuery(err)
-	}
-	meta := Meta{Warm: lease.Warm}
-	e := lease.Engine
-	stats, err := e.Run(cfg.Iterations)
-	lease.Release(err != nil)
-	if err != nil {
-		s.dropBaseline(key, cell)
-		return scenario.Result{}, meta, err
-	}
-	cell.res = scenario.Result{
-		Backend: cfg.BackendName(),
-		GPUs:    e.Cluster.GPUCount(), Servers: len(e.Cluster.Servers),
-		Iterations:   cfg.Iterations,
-		MeanIterTime: trainsim.MeanIterTime(stats),
-	}
-	cell.done = true
-	return cell.res, meta, nil
-}
-
-// touchBaselineLocked moves key to the LRU front and evicts over-cap
-// entries; s.baseMu must be held. Eviction only unlinks a cell from the
-// cache — an in-flight measurement on an evicted cell still completes for
-// the drills already holding it.
-func (s *Server) touchBaselineLocked(key string) {
-	for i, k := range s.baseOrder {
-		if k == key {
-			s.baseOrder = append(s.baseOrder[:i], s.baseOrder[i+1:]...)
-			break
-		}
-	}
-	s.baseOrder = append(s.baseOrder, key)
-	for len(s.baseOrder) > baselineCap {
-		old := s.baseOrder[0]
-		s.baseOrder = s.baseOrder[1:]
-		delete(s.baselines, old)
-	}
-}
-
-// dropBaseline forgets a failed measurement so later drills retry it.
-// The cell identity check keeps a concurrent re-measurement's fresh cell
-// (or an LRU replacement) intact.
-func (s *Server) dropBaseline(key string, cell *baselineCell) {
-	s.baseMu.Lock()
-	if s.baselines[key] == cell {
-		delete(s.baselines, key)
-		for i, k := range s.baseOrder {
-			if k == key {
-				s.baseOrder = append(s.baseOrder[:i], s.baseOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	s.baseMu.Unlock()
+	return s.answer(resultKey("failure|"+q.Scenario, cfg), q.NoCache, func() (any, error) {
+		return scenario.Run(q.Scenario, cfg)
+	})
 }
 
 func wantPost(w http.ResponseWriter, r *http.Request) bool {

@@ -12,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"mixnet/internal/failure"
 	"mixnet/internal/scenario"
-	"mixnet/internal/trainsim"
 )
 
 func testClient(t *testing.T, srv *Server) (*client, func()) {
@@ -26,37 +24,11 @@ func testClient(t *testing.T, srv *Server) (*client, func()) {
 	}
 }
 
-// TestShapeKeyIgnoresPerQueryKnobs: seed, iterations and trace must not
-// split the engine pool; everything shape-affecting must.
-func TestShapeKeyIgnoresPerQueryKnobs(t *testing.T) {
-	t.Parallel()
-	base := scenario.Config{Fabric: "fat-tree", Seed: 1, Iterations: 2}
-	alt := base
-	alt.Seed, alt.Iterations = 99, 7
-	if ShapeKey(base) != ShapeKey(alt) {
-		t.Error("seed/iterations changed the shape key")
-	}
-	alt = base
-	alt.Fabric = "mixnet"
-	if ShapeKey(base) == ShapeKey(alt) {
-		t.Error("fabric change did not change the shape key")
-	}
-	alt = base
-	alt.Backend = "analytic"
-	if ShapeKey(base) == ShapeKey(alt) {
-		t.Error("backend change did not change the shape key")
-	}
-	// Defaults canonicalize: zero config and spelled-out defaults collide.
-	if ShapeKey(scenario.Config{}) != ShapeKey(scenario.Config{}.WithDefaults()) {
-		t.Error("defaulted and explicit configs key differently")
-	}
-}
-
-// TestShapeKeyCanonicalizesMixNetKnobs: only MixNet reconfigures, so on a
+// TestResultKeyCanonicalizesMixNetKnobs: only MixNet reconfigures, so on a
 // fat-tree a first-A2A mode or a reconfiguration delay changes no answer
-// and must split neither the engine pool nor the result cache. On MixNet
-// the first-A2A mode keeps its own entries.
-func TestShapeKeyCanonicalizesMixNetKnobs(t *testing.T) {
+// and must not split the result cache. On MixNet the first-A2A mode keeps
+// its own entries.
+func TestResultKeyCanonicalizesMixNetKnobs(t *testing.T) {
 	t.Parallel()
 	base := scenario.Config{Fabric: "fat-tree", Seed: 1, Iterations: 1}
 	copilot, delay := base, base
@@ -67,9 +39,6 @@ func TestShapeKeyCanonicalizesMixNetKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []scenario.Config{copilot, delay} {
-		if ShapeKey(cfg) != ShapeKey(base) {
-			t.Errorf("%+v: shape key differs from the default fat-tree config's", cfg)
-		}
 		if resultKey("iter", cfg.WithDefaults()) != resultKey("iter", base.WithDefaults()) {
 			t.Errorf("%+v: result key differs from the default fat-tree config's", cfg)
 		}
@@ -79,26 +48,24 @@ func TestShapeKeyCanonicalizesMixNetKnobs(t *testing.T) {
 	}
 	mix, mixCopilot := base, copilot
 	mix.Fabric, mixCopilot.Fabric = "mixnet", "mixnet"
-	if ShapeKey(mix) == ShapeKey(mixCopilot) {
-		t.Error("MixNet copilot config shares the block config's shape key")
-	}
 	if resultKey("iter", mix.WithDefaults()) == resultKey("iter", mixCopilot.WithDefaults()) {
 		t.Error("MixNet copilot config shares the block config's result key")
 	}
 }
 
-// TestShapeKeyCoversEveryField: the key is derived from the canonical
-// configuration, so changing any scenario.Config field other than the
-// per-query Seed, Iterations and Trace — embedded execution options
-// included — must change it. A field this test cannot set fails it, so a
-// new field type gets a deliberate decision instead of a silent pass.
-func TestShapeKeyCoversEveryField(t *testing.T) {
+// TestResultKeyCoversEveryField: the result cache keys on the canonical
+// configuration, so changing any scenario.Config field other than Trace,
+// which no query sets — Seed, Iterations and the embedded execution options
+// included — must change the key. A field this test cannot set fails it, so
+// a new field type gets a deliberate decision instead of a silent pass.
+func TestResultKeyCoversEveryField(t *testing.T) {
 	t.Parallel()
 	var cfg scenario.Config
-	base := ShapeKey(cfg)
+	key := func() string { return resultKey("iter", cfg.WithDefaults()) }
+	base := key()
 	v := reflect.ValueOf(&cfg).Elem()
 	for _, sf := range reflect.VisibleFields(v.Type()) {
-		if sf.Anonymous || sf.Name == "Seed" || sf.Name == "Iterations" || sf.Name == "Trace" {
+		if sf.Anonymous || sf.Name == "Trace" {
 			continue
 		}
 		f := v.FieldByIndex(sf.Index)
@@ -115,14 +82,10 @@ func TestShapeKeyCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("field %s: unhandled kind %v", sf.Name, f.Kind())
 		}
-		if ShapeKey(cfg) == base {
-			t.Errorf("changing %s did not change the shape key", sf.Name)
+		if key() == base {
+			t.Errorf("changing %s did not change the result key", sf.Name)
 		}
 		f.Set(saved)
-	}
-	cfg.Trace = strings.NewReader("{}")
-	if ShapeKey(cfg) != base {
-		t.Error("a trace reader changed the shape key")
 	}
 }
 
@@ -163,19 +126,18 @@ func determinismMix(iters int) []query {
 }
 
 // TestConcurrentQueryDeterminism: N goroutines fire an interleaved query
-// mix at the service — pool sizes 1, 2 and 8 — and every response must be
-// byte-identical to the serial single-engine answer, no matter which warm
-// engine served it or what ran before on that engine. Run under -race in
-// CI; the pool, the engines' route caches and the baseline cache are all
-// exercised.
+// mix at the service — 1, 2 and 8 workers — and every response must be
+// byte-identical to the serial one-worker answer, whatever ran beside it
+// or before it. Run under -race in CI; the result cache and the worker
+// semaphore are exercised concurrently.
 func TestConcurrentQueryDeterminism(t *testing.T) {
 	const iters = 2
 	mix := determinismMix(iters)
 
-	// Serial reference: a fresh one-engine server answers each query once.
+	// Serial reference: a one-worker server answers each query once.
 	ref := make(map[string]json.RawMessage, len(mix))
 	{
-		srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+		srv := New(Options{Workers: 1})
 		c, done := testClient(t, srv)
 		for _, q := range mix {
 			raw, _, err := c.post(q.path, q.body)
@@ -187,8 +149,8 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 		done()
 	}
 
-	for _, poolSize := range []int{1, 2, 8} {
-		srv := New(Options{Pool: NewPool(poolSize, 0, 0), Workers: poolSize})
+	for _, workers := range []int{1, 2, 8} {
+		srv := New(Options{Workers: workers})
 		c, done := testClient(t, srv)
 		const rounds = 2
 		var wg sync.WaitGroup
@@ -198,7 +160,7 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 				wg.Add(1)
 				go func(q query, offset int) {
 					defer wg.Done()
-					// Stagger starts so leases interleave differently per round.
+					// Stagger starts so queries interleave differently per round.
 					time.Sleep(time.Duration(offset%4) * time.Millisecond)
 					raw, _, err := c.post(q.path, q.body)
 					if err != nil {
@@ -206,7 +168,7 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 						return
 					}
 					if !bytes.Equal(raw, ref[q.name]) {
-						errCh <- &mismatchError{q.name, poolSize}
+						errCh <- &mismatchError{q.name, workers}
 					}
 				}(q, i+round*len(mix))
 			}
@@ -215,7 +177,7 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 		done()
 		close(errCh)
 		for err := range errCh {
-			t.Errorf("pool=%d: %v", poolSize, err)
+			t.Errorf("workers=%d: %v", workers, err)
 		}
 		if t.Failed() {
 			t.FailNow()
@@ -224,176 +186,23 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 }
 
 type mismatchError struct {
-	query string
-	pool  int
+	query   string
+	workers int
 }
 
 func (e *mismatchError) Error() string {
 	return "query " + e.query + " diverged from the serial reference"
 }
 
-// TestDrillRestoreThenReuse: an engine that served a failure drill must
-// come back byte-identical — the pool verifies the graph's state hash
-// before reuse and the next clean query must match the pre-drill answer
-// exactly. This is the regression test for pooled-engine reuse after
-// failure injection.
-func TestDrillRestoreThenReuse(t *testing.T) {
-	t.Parallel()
-	pool := NewPool(1, 0, 0)
-	cfg := scenario.Config{Fabric: "fat-tree", Iterations: 2, Seed: 1}.WithDefaults()
-
-	runClean := func(want []trainsim.IterStats) []trainsim.IterStats {
-		lease, err := pool.Acquire(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := lease.Engine.Run(cfg.Iterations)
-		lease.Release(err != nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want != nil {
-			a, _ := json.Marshal(stats)
-			b, _ := json.Marshal(want)
-			if !bytes.Equal(a, b) {
-				t.Fatalf("clean run diverged after drill:\n got %s\nwant %s", a, b)
-			}
-		}
-		return stats
-	}
-
-	baseline := runClean(nil)
-
-	// Drill on the pooled engine: inject, run, restore, release. The NIC
-	// drill downs a real link, so the epoch moves and release must prove
-	// the flag round-trip with StateHash — the verified-restore path, not
-	// a lucky no-op.
-	inj, ok := scenario.DrillInjector(scenario.FailNIC)
-	if !ok {
-		t.Fatal("fail-nic is not a drill")
-	}
-	lease, err := pool.Acquire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lease.Warm {
-		t.Fatal("second acquire should reuse the pooled engine")
-	}
-	restore, err := inj(lease.Engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lease.Engine.Run(cfg.Iterations); err != nil {
-		t.Fatal(err)
-	}
-	restore()
-	lease.Release(false)
-
-	st := pool.Stats()
-	if st.Evictions != 0 {
-		t.Fatalf("restored drill engine was evicted: %+v", st)
-	}
-	if st.Restores == 0 {
-		t.Fatalf("drill mutations did not take the verified-restore path: %+v", st)
-	}
-
-	// The same engine must now answer the clean query exactly as before.
-	// That lease leaves the graph alone, so it is no restore.
-	runClean(baseline)
-	if got := pool.Stats().Restores; got != st.Restores {
-		t.Fatalf("clean lease after a drill counted as a restore: %d -> %d", st.Restores, got)
-	}
-
-	// Counter-case: an unrestored injection must be caught and evicted.
-	lease, err = pool.Acquire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inj(lease.Engine); err != nil { // restore discarded on purpose
-		t.Fatal(err)
-	}
-	lease.Release(false)
-	if pool.Stats().Evictions == 0 {
-		t.Fatal("engine with unreversed failure state was pooled")
-	}
-	lease, err = pool.Acquire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Warm {
-		t.Fatal("acquired the poisoned engine")
-	}
-	lease.Evict()
-}
-
-// TestDifferentDrillAfterRestore: the epoch-collision regression. The
-// engine's route cache and distance fields are stamped with the graph epoch
-// of each drill. A second, different drill that performs the same number
-// of epoch bumps — here: downing the same number of NIC links on a
-// different server — would replay the first drill's routes, which avoid
-// the wrong links, if the epoch could ever land on a stamp again (it did
-// when the pool rewound restored engines to the build epoch). The pooled
-// second drill must stay byte-identical to a fresh engine running the
-// same drill.
-func TestDifferentDrillAfterRestore(t *testing.T) {
-	t.Parallel()
-	cfg := scenario.Config{Fabric: "fat-tree", Iterations: 2, Seed: 1}.WithDefaults()
-
-	drillStats := func(e *trainsim.Engine, server int) []trainsim.IterStats {
-		t.Helper()
-		restore, err := failure.FailEPSNICs(e.Cluster, server, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := e.Run(cfg.Iterations)
-		restore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-
-	fresh, err := scenario.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(drillStats(fresh, 1))
-
-	pool := NewPool(1, 0, 0)
-	lease, err := pool.Acquire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drillStats(lease.Engine, 0) // downs server 0's NIC links, restores
-	lease.Release(false)
-	if st := pool.Stats(); st.Restores != 1 || st.Evictions != 0 {
-		t.Fatalf("first drill did not take the verified-restore path: %+v", st)
-	}
-
-	lease, err = pool.Acquire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lease.Warm {
-		t.Fatal("second drill should reuse the pooled engine")
-	}
-	got, _ := json.Marshal(drillStats(lease.Engine, 1)) // same bump count, different links
-	lease.Release(false)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("post-restore drill diverged from a fresh engine:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestComposedDrillAfterNICDrill: serve-level epoch-collision coverage.
-// The fail-server+fail-nic drill downs the same number of links as the
-// fail-nic drill that preceded it on the same pooled engine (fail-server
-// remaps GPUs without touching links); when the pool rewound the epoch,
-// this exact query sequence replayed stale routes over the second drill's
-// downed links. The served result must match the batch runner byte for
-// byte.
+// TestComposedDrillAfterNICDrill: the fail-server+fail-nic drill downs as
+// many links as the fail-nic drill served before it on the same
+// configuration (fail-server remaps GPUs without touching links), the
+// sequence that once replayed stale routes over the second drill's downed
+// links on a shared engine. The served result must match the batch runner
+// byte for byte.
 func TestComposedDrillAfterNICDrill(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+	srv := New(Options{Workers: 1})
 	q := failureQuery{
 		QueryConfig: QueryConfig{Fabric: "fat-tree", Iterations: 2, Seed: 1},
 		Scenario:    scenario.FailNIC,
@@ -402,12 +211,9 @@ func TestComposedDrillAfterNICDrill(t *testing.T) {
 		t.Fatalf("fail-nic: %v", err)
 	}
 	q.Scenario = scenario.FailServerNIC
-	got, meta, err := srv.runFailure(q)
+	got, _, err := srv.runFailure(q)
 	if err != nil {
-		t.Fatalf("fail-server+fail-nic on warm engine: %v", err)
-	}
-	if !meta.Warm {
-		t.Fatal("composed drill should run on the pooled engine")
+		t.Fatalf("fail-server+fail-nic: %v", err)
 	}
 	want, err := scenario.Run(scenario.FailServerNIC, q.scenarioConfig())
 	if err != nil {
@@ -421,22 +227,18 @@ func TestComposedDrillAfterNICDrill(t *testing.T) {
 }
 
 // TestWarmMixNetMatchesLibrary: a MixNet engine retargets its circuits
-// every iteration, so every lease moves its graph epoch and grows its link
-// table, and it is pooled again only through the state-hash check. A
-// three-tier fat-tree (DP 9: 144 servers) is built folded, so its first
-// lease grows the graph and the build hash must be re-stamped for the
-// drills to restore. Per shape, one pooled engine answers several seeds
-// and then two drills; every answer must match mixnet.Simulate /
-// scenario.Run on fresh engines byte for byte.
+// every iteration, and a three-tier fat-tree (DP 9: 144 servers) is built
+// folded and grows as a run touches its servers. Per shape, one server
+// answers several seeds and then two drills; every answer must match
+// mixnet.Simulate / scenario.Run byte for byte.
 func TestWarmMixNetMatchesLibrary(t *testing.T) {
 	t.Parallel()
 	for _, shape := range []QueryConfig{
 		{Fabric: "mixnet", Iterations: 2},
 		{Fabric: "fat-tree", DP: 9, Iterations: 1}, // 1,152 GPUs: one iteration keeps -race cheap
 	} {
-		srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+		srv := New(Options{Workers: 1})
 		c, done := testClient(t, srv)
-		queries := 0
 		for seed := int64(1); seed <= 3; seed++ {
 			q := shape
 			q.Seed = seed
@@ -449,7 +251,6 @@ func TestWarmMixNetMatchesLibrary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", shape.Fabric, seed, err)
 			}
-			queries++
 			if !bytes.Equal(got, wb) {
 				t.Fatalf("%s seed %d: served %s\nlibrary %s", shape.Fabric, seed, got, wb)
 			}
@@ -465,80 +266,21 @@ func TestWarmMixNetMatchesLibrary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", shape.Fabric, sc, err)
 			}
-			queries++
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s %s: served %s\nscenario.Run %s", shape.Fabric, sc, got, want)
 			}
 		}
 		done()
-		st := srv.Pool().Stats()
-		if st.Hits < uint64(queries-1) || st.Restores == 0 {
-			t.Fatalf("%s engine not reused through the hash check over %d queries: %+v", shape.Fabric, queries, st)
-		}
-	}
-}
-
-// TestPoolMaxUsesRetires: engines retire after maxUses leases instead of
-// accreting state forever.
-func TestPoolMaxUsesRetires(t *testing.T) {
-	t.Parallel()
-	pool := NewPool(1, 2, 0)
-	cfg := scenario.Config{Fabric: "fat-tree", Iterations: 1, Seed: 1}.WithDefaults()
-	for i := 0; i < 2; i++ {
-		lease, err := pool.Acquire(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lease.Engine.Run(cfg.Iterations); err != nil {
-			t.Fatal(err)
-		}
-		lease.Release(false)
-	}
-	if st := pool.Stats(); st.Evictions != 1 || st.Idle != 0 {
-		t.Fatalf("second lease should retire the engine: %+v", st)
-	}
-}
-
-// TestBaselineCacheBoundAndRetry: the baseline cache must not memoize
-// failures (a failed measurement is retried, not replayed forever) and
-// must not grow beyond baselineCap in a long-running service.
-func TestBaselineCacheBoundAndRetry(t *testing.T) {
-	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
-
-	bad := scenario.Config{Model: "no-such-model", Iterations: 1}.WithDefaults()
-	for i := 0; i < 2; i++ {
-		if _, _, err := srv.baseline(bad); err == nil {
-			t.Fatal("baseline of an unknown model succeeded")
-		}
-	}
-	srv.baseMu.Lock()
-	n := len(srv.baselines)
-	srv.baseMu.Unlock()
-	if n != 0 {
-		t.Fatalf("failed baseline stayed cached (%d cells)", n)
-	}
-
-	srv.baseMu.Lock()
-	for i := 0; i < baselineCap+16; i++ {
-		key := fmt.Sprintf("synthetic-key-%d", i)
-		srv.baselines[key] = &baselineCell{done: true}
-		srv.touchBaselineLocked(key)
-	}
-	n, ord := len(srv.baselines), len(srv.baseOrder)
-	srv.baseMu.Unlock()
-	if n != baselineCap || ord != baselineCap {
-		t.Fatalf("cache grew past the bound: %d cells, %d order entries", n, ord)
 	}
 }
 
 // TestResultCache: a fully identical query replays the stored response
 // byte-identically with meta marked cached; differently spelled defaults
-// share the entry; no_cache bypasses replay, runs a warm engine and still
+// share the entry; no_cache bypasses replay, runs an engine and still
 // matches bitwise.
 func TestResultCache(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(2, 0, 0), Workers: 2})
+	srv := New(Options{Workers: 2})
 	c, done := testClient(t, srv)
 	defer done()
 
@@ -583,10 +325,6 @@ func TestResultCache(t *testing.T) {
 	}
 	if !bytes.Equal(fresh, cold) {
 		t.Fatal("no_cache rerun diverged from the cached result")
-	}
-	// The cold run's engine was pooled, so the no_cache rerun leases it warm.
-	if !freshMeta.Warm {
-		t.Fatal("no_cache rerun did not lease the pooled engine")
 	}
 	// Failure drills cache too, keyed by scenario.
 	fq := failureQuery{QueryConfig: q, Scenario: scenario.FailNIC}
@@ -636,7 +374,7 @@ func TestResultCacheBound(t *testing.T) {
 // right status codes; the health and stats endpoints respond.
 func TestServeHTTPErrors(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+	srv := New(Options{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -688,12 +426,12 @@ func TestServeHTTPErrors(t *testing.T) {
 
 // TestInvalidQueriesRejected: numeric settings no run can mean get a 400
 // within the client's deadline — not a worker spinning forever on a
-// negative link rate, nor a panic that kills the process — on a cold pool
-// and on a warm engine of the same shape (a warm engine skips
-// construction, so the pool must validate).
+// negative link rate, nor a panic that kills the process — before and
+// after a valid query of the same shape, on /v1/iter (scenario.NewEngine
+// rejects them) and on /v1/failure (scenario.Run does).
 func TestInvalidQueriesRejected(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 2})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -709,9 +447,9 @@ func TestInvalidQueriesRejected(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	// Warm the pool with the fat-tree shape the iteration-count cases share.
+	// A valid query of the fat-tree shape the iteration-count cases share.
 	if code := post("/v1/iter", `{"fabric":"fat-tree","iterations":1,"seed":1}`); code != http.StatusOK {
-		t.Fatalf("warm-up query: %d", code)
+		t.Fatalf("valid query: %d", code)
 	}
 	bodies := []string{
 		`{"link_gbps":-400}`,
@@ -746,7 +484,7 @@ func TestInvalidQueriesRejected(t *testing.T) {
 // while the worker finishes in the background and Drain still completes.
 func TestQueryTimeout(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1, Timeout: time.Millisecond})
+	srv := New(Options{Workers: 1, Timeout: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

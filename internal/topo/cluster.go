@@ -290,12 +290,6 @@ type regionCircuits struct {
 	linkIDs []LinkID // directed link IDs of installed circuits (both dirs)
 	pairs   []CircuitPair
 	bps     float64 // per-circuit bandwidth of the installed set
-
-	// Build-time snapshot (sealBuildCircuits): the configuration
-	// ResetCircuits restores so a reused cluster starts runs from the same
-	// circuits a fresh build would.
-	buildPairs []CircuitPair
-	buildBps   float64
 }
 
 // CircuitPair is one duplex optical circuit between two NIC (or GPU) ports.

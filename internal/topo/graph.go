@@ -10,7 +10,6 @@ package topo
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -403,38 +402,6 @@ func removeLinkID(s []LinkID, id LinkID) []LinkID {
 		}
 	}
 	return s
-}
-
-// StateHash fingerprints the graph's simulation-relevant state: node
-// counts plus, for every attached materialized link, its endpoints,
-// capacity, latency and up/circuit flags. Per-link hashes combine by
-// commutative sum, so neither storage order nor link IDs contribute — a
-// circuit torn down and reinstalled between the same endpoints (which
-// allocates fresh IDs) hashes identically to the original. Callers use it
-// to verify that a mutated graph has been restored to a snapshot's state.
-//
-//mixnet:noalloc
-func (g *Graph) StateHash() uint64 {
-	h := hash64(uint64(g.NumNodes())<<32 ^ uint64(len(g.Nodes)))
-	var sum uint64
-	for i := range g.Links {
-		l := &g.Links[i]
-		if l.detached() {
-			continue
-		}
-		x := hash64(uint64(uint32(l.From))<<32 | uint64(uint32(l.To)))
-		x = hash64(x ^ math.Float64bits(l.Bps))
-		x = hash64(x ^ math.Float64bits(l.Latency))
-		var flags uint64
-		if l.Up {
-			flags |= 1
-		}
-		if l.Circuit {
-			flags |= 2
-		}
-		sum += hash64(x ^ flags)
-	}
-	return hash64(h ^ sum)
 }
 
 // beginFolded switches the graph to folded (slot-indirected) storage with a

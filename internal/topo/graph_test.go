@@ -68,45 +68,6 @@ func TestEpochBumpsOnMutation(t *testing.T) {
 	}
 }
 
-// TestStateHashWitnessesFlagRoundTrip: the engine pool's release rule
-// relies on StateHash to prove a mutated graph was restored exactly: a
-// downed-and-restored link must land back on the build hash, while the
-// epoch keeps the forward count of both mutations.
-func TestStateHashWitnessesFlagRoundTrip(t *testing.T) {
-	g, _ := lineGraph(t, 6)
-	h0, e0 := g.StateHash(), g.Epoch()
-	l0 := g.NumLinks()
-
-	g.SetLinkUp(LinkID(2), false)
-	if g.StateHash() == h0 {
-		t.Fatal("downing a link did not change StateHash")
-	}
-	g.SetLinkUp(LinkID(2), true)
-	if g.StateHash() != h0 {
-		t.Fatal("restored graph hashes differently from the original")
-	}
-	if g.NumLinks() != l0 {
-		t.Fatal("flag flips must not allocate links")
-	}
-	if g.Epoch() != e0+2 {
-		t.Fatalf("epoch %d after two mutations from %d: must bump on each, even when state round-trips", g.Epoch(), e0)
-	}
-}
-
-// TestStateHashSeesAttributeChanges: equal shape with different link
-// attributes must hash differently (the hash covers Bps, latency, flags).
-func TestStateHashSeesAttributeChanges(t *testing.T) {
-	g1, _ := lineGraph(t, 4)
-	g2, _ := lineGraph(t, 4)
-	if g1.StateHash() != g2.StateHash() {
-		t.Fatal("identical builds hash differently")
-	}
-	g2.Links[1].Bps *= 2
-	if g1.StateHash() == g2.StateHash() {
-		t.Fatal("bandwidth change not visible in StateHash")
-	}
-}
-
 func TestRemoveCircuits(t *testing.T) {
 	g := NewGraph()
 	a := g.AddNode(KindNIC, "", -1, -1, 0)

@@ -1,7 +1,5 @@
 package topo
 
-import "slices"
-
 // BuildMixNet constructs the MixNet fabric (§4.2, §7.1): each server wires
 // spec.EPSNICs NICs into a shared fat-tree EPS fabric and spec.OCSNICs NICs
 // into a regional OCS. Servers are grouped into regions of
@@ -49,42 +47,7 @@ func BuildMixNet(spec Spec) *Cluster {
 	for r := range c.Regions {
 		c.SetRegionCircuits(r, UniformCircuits(c, r))
 	}
-	c.sealBuildCircuits()
 	return c
-}
-
-// sealBuildCircuits snapshots every region's currently installed circuits
-// as the build-time configuration ResetCircuits restores. Builders with
-// runtime-reconfigurable circuits call it once, after initial installation.
-func (c *Cluster) sealBuildCircuits() {
-	for _, rc := range c.ocs {
-		rc.buildPairs = slices.Clone(rc.pairs)
-		rc.buildBps = rc.bps
-	}
-}
-
-// ResetCircuits restores every region's build-time circuit configuration,
-// undoing runtime reconfiguration (the OCS controller retargeting circuits
-// mid-run). It retargets each region to its sealed build pairs, so a
-// region already at its build configuration is left untouched (see
-// SetRegionCircuitsBps): a cluster that never reconfigured keeps its epoch
-// and its warm epoch-keyed caches. Reinstalled circuits allocate fresh link
-// IDs (IDs are never reused), but append at the same adjacency positions
-// the build used (circuits always install after a NIC's fabric links), so
-// routing and simulation are byte-identical to a fresh build; StateHash is
-// ID-insensitive and verifies the restored state. Returns whether the
-// graph epoch moved. Fabrics whose circuits are configured once and never
-// retargeted (TopoOpt's patch panels, fixed fabrics without regions) are
-// no-ops.
-func (c *Cluster) ResetCircuits() (changed bool, err error) {
-	e0 := c.G.Epoch()
-	for r, rc := range c.ocs {
-		if err = c.SetRegionCircuitsBps(r, rc.buildPairs, rc.buildBps); err != nil {
-			break
-		}
-	}
-	//mixnet:allow reports whether the graph changed; no cached state is reused on the comparison
-	return c.G.Epoch() != e0, err
 }
 
 // BuildTopoOpt constructs the TopoOpt baseline: every NIC is attached to a

@@ -117,7 +117,6 @@ func BuildMixNetCPO(su ScaleUpSpec) *Cluster {
 			panic(fmt.Sprintf("topo: BuildMixNetCPO: %v", err))
 		}
 	}
-	c.sealBuildCircuits()
 	return c
 }
 
@@ -128,11 +127,12 @@ func BuildMixNetCPO(su ScaleUpSpec) *Cluster {
 // pairs equal the installed pairs, bps equals the installed bandwidth, and
 // every installed circuit link is still attached and up with the bandwidth
 // and latency a fresh install would give it, the call returns at once, the
-// epoch does not move and routers keep their caches. A reinstall would
-// differ only in link IDs: circuits are the last adjacency entries of
-// their ports, so they would come back at the same positions, and
-// StateHash ignores IDs. Any other call tears the region's circuits down
-// and installs pairs on fresh link IDs.
+// epoch does not move, the link table does not grow and routers keep their
+// caches. A reinstall would differ only in link IDs: circuits are the last
+// adjacency entries of their ports, so they would come back at the same
+// positions. In block mode a layer's combine all-to-all retargets to the
+// dispatch's circuits, so this skip keeps its routes warm. Any other call
+// tears the region's circuits down and installs pairs on fresh link IDs.
 func (c *Cluster) SetRegionCircuitsBps(region int, pairs []CircuitPair, bps float64) error {
 	if region < 0 || region >= len(c.ocs) {
 		return fmt.Errorf("topo: region %d out of range", region)

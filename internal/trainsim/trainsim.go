@@ -75,8 +75,7 @@ type Options struct {
 	StrictBreak bool
 	// Calib is the compute model; zero value means dag.A100().
 	Calib dag.Calibration
-	// GateCfg overrides the gate dynamics; nil means defaults with GateSeed.
-	GateCfg  *moe.GateConfig
+	// GateSeed seeds the synthetic gate (moe.DefaultGateConfig).
 	GateSeed int64
 	// Source replaces the synthetic gate with another iteration source
 	// (e.g. a recorded production trace via internal/trace).
@@ -330,11 +329,7 @@ func New(m moe.Model, plan moe.TrainPlan, cluster *topo.Cluster, opts Options) (
 	if err := opts.Calib.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := moe.DefaultGateConfig(opts.GateSeed)
-	if opts.GateCfg != nil {
-		cfg = *opts.GateCfg
-	}
-	var source IterationSource = moe.NewGateSim(m, plan, cfg)
+	var source IterationSource = moe.NewGateSim(m, plan, moe.DefaultGateConfig(opts.GateSeed))
 	if opts.Source != nil {
 		source = opts.Source
 	}
